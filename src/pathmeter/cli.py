@@ -13,6 +13,7 @@ quadrature budget).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -42,13 +43,15 @@ from .meters import (
     marginal_residual,
     probabilities,
 )
-from .mensky import MenskyConfig, ReadoutRecord, record_evolve, record_probability_scan, weak_limit_check, weak_meter_array
+from .mensky import MenskyConfig, ReadoutRecord, record_evolve, weak_limit_check, weak_meter_array
 from .pathsum import binned_measurement_amplitude
 from .timegrid import PathFunctionalSpec, SwitchingFunction, TimeGrid
 from .transforms import apply_kernel, finite_time_kernel, von_neumann_basis_change
 from . import particle1d
 
 SCHEMA_VERSION = 1
+CSV_CELL_BYTES = 25  # longest float repr (24 characters) plus its separator
+CSV_BUFFER_MAX = 32 << 20
 ROUTES = ("paths", "lambda", "mensky", "transform", "crosscheck")
 
 EXIT_PASS = 0
@@ -102,6 +105,17 @@ def _number(value, path: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigInvalid(path, f"expected a number, got {value!r}")
     return float(value)
+
+
+def _integer(value, path: str, minimum: int = 1, power_of_two: bool = False) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigInvalid(path, f"expected an integer, got {value!r}")
+    if value < minimum or (power_of_two and value & (value - 1)):
+        kind = "a power of two" if power_of_two else "an integer"
+        raise ConfigInvalid(path, f"expected {kind} >= {minimum}, got {value}")
+    return value
 
 
 def _complex_matrix(entries, path: str) -> np.ndarray:
@@ -186,11 +200,11 @@ class _Experiment:
         self.route = _need(cfg, "route", "<root>")
         if self.route not in ROUTES:
             raise ConfigInvalid("route", f"must be one of {ROUTES}")
-        self.seed = int(cfg.get("seed", 0))
+        self.seed = _integer(cfg.get("seed", 0), "seed", minimum=0)
         tcfg = _need(cfg, "time", "<root>")
         self.grid = TimeGrid(
             _number(_need(tcfg, "total", "time"), "time.total"),
-            int(_need(tcfg, "slices", "time")),
+            _integer(_need(tcfg, "slices", "time"), "time.slices"),
         )
         self.tolerances = dict(DEFAULT_TOLERANCES)
         self.tolerances.update(cfg.get("tolerances", {}))
@@ -217,7 +231,7 @@ class _Experiment:
             )
             obs = _need(self.cfg, "observable", "<root>")
         elif kind == "random":
-            dim = int(_need(scfg, "dim", "system"))
+            dim = _integer(_need(scfg, "dim", "system"), "system.dim", minimum=2)
             rng = np.random.default_rng(self.seed)
             M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             self.hamiltonian = (M + M.conj().T) / 2
@@ -249,7 +263,8 @@ class _Experiment:
             beta = _switching(_need(m, "beta", f"meters[{i}]"), self.grid, f"meters[{i}].beta")
             self.betas.append(beta)
             gcfg = _need(m, "grid", f"meters[{i}]")
-            L = int(_need(gcfg, "points", f"meters[{i}].grid"))
+            L = _integer(_need(gcfg, "points", f"meters[{i}].grid"),
+                         f"meters[{i}].grid.points", minimum=2, power_of_two=True)
             if gcfg.get("aligned", False):
                 lg = aligned_grid(beta, self.grid, self.decomp, L)
             else:
@@ -277,7 +292,8 @@ class _Experiment:
     def _build_particle(self, scfg: dict) -> None:
         if self.route != "lambda":
             raise ConfigInvalid("route", "particle1d systems support the lambda route only")
-        n_x = int(_need(scfg, "n_x", "system"))
+        n_x = _integer(_need(scfg, "n_x", "system"), "system.n_x",
+                       minimum=2, power_of_two=True)
         x_min = _number(_need(scfg, "x_min", "system"), "system.x_min")
         dx = _number(_need(scfg, "dx", "system"), "system.dx")
         mass = _number(scfg.get("mass", 1.0), "system.mass")
@@ -324,7 +340,8 @@ class _Experiment:
         else:
             raise ConfigInvalid("meters[0].functional.kind", f"unknown functional {fkind!r}")
         gcfg = _need(m, "grid", "meters[0]")
-        L = int(_need(gcfg, "points", "meters[0].grid"))
+        L = _integer(_need(gcfg, "points", "meters[0].grid"), "meters[0].grid.points",
+                     minimum=2, power_of_two=True)
         df = _number(_need(gcfg, "df", "meters[0].grid"), "meters[0].grid.df")
         self.lgrids = [LambdaGrid.from_df(L, df)]
 
@@ -359,7 +376,7 @@ def _bins_table(binned) -> dict:
 # ---------------------------------------------------------------- routes
 
 
-def _route_paths(exp: _Experiment, bundle: ResultBundle) -> None:
+def _route_paths(exp: _Experiment, bundle: ResultBundle):
     tol = exp.tolerances["completeness"]
     binned = binned_measurement_amplitude(
         exp.hamiltonian, exp.decomp, exp.grid, exp.psi0, exp.spec)
@@ -367,9 +384,10 @@ def _route_paths(exp: _Experiment, bundle: ResultBundle) -> None:
     res = float(np.linalg.norm(binned.total() - exact))
     bundle.tables["bins"] = _bins_table(binned)
     bundle.residuals["path_completeness"] = _residual(res, tol)
+    return binned
 
 
-def _route_lambda(exp: _Experiment, bundle: ResultBundle) -> None:
+def _route_lambda(exp: _Experiment, bundle: ResultBundle):
     tols = exp.tolerances
     if exp.system_kind == "particle1d":
         field = particle1d.coordinate_amplitude_field(
@@ -403,6 +421,7 @@ def _route_lambda(exp: _Experiment, bundle: ResultBundle) -> None:
             expected = kernel.squared_mass() * float(np.vdot(exp.psi0, exp.psi0).real)
             res_w = abs(table.total_mass() - expected)
             bundle.residuals["probability_mass"] = _residual(res_w, tols["probability_mass"])
+    return field
 
 
 def _route_mensky(exp: _Experiment, bundle: ResultBundle) -> None:
@@ -421,17 +440,18 @@ def _route_mensky(exp: _Experiment, bundle: ResultBundle) -> None:
         for i, row in enumerate(rcfg):
             records.append(ReadoutRecord(exp.grid, [
                 _number(v, f"mensky.records[{i}]") for v in row]))
-    scan = record_probability_scan(
-        exp.hamiltonian, exp.decomp, exp.grid, cfg, exp.psi0, records)
-    cols = {f"phi_{j}": np.array([rec.phi[j] for rec, _ in scan])
-            for j in range(exp.grid.steps)}
-    cols["norm2"] = np.array([w for _, w in scan])
-    bundle.tables["records"] = cols
-    dev = 0.0
-    for rec, _ in scan:
+    if not records:
+        raise ConfigInvalid("mensky.records", "need at least one record")
+    norm2, dev = [], 0.0
+    for rec in records:
         a = record_evolve(exp.hamiltonian, exp.decomp, exp.grid, rec, cfg, exp.psi0)
         b = weak_meter_array(exp.hamiltonian, exp.decomp, exp.grid, sigma, exp.psi0, rec)
+        norm2.append(float(np.vdot(a, a).real))
         dev = max(dev, float(np.linalg.norm(a - b)))
+    cols = {f"phi_{j}": np.array([rec.phi[j] for rec in records])
+            for j in range(exp.grid.steps)}
+    cols["norm2"] = np.array(norm2)
+    bundle.tables["records"] = cols
     bundle.residuals["mensky_agreement"] = _residual(dev, tols["mensky_agreement"])
 
 
@@ -468,12 +488,8 @@ def _route_transform(exp: _Experiment, bundle: ResultBundle) -> None:
 
 def _route_crosscheck(exp: _Experiment, bundle: ResultBundle) -> None:
     tols = exp.tolerances
-    _route_paths(exp, bundle)
-    _route_lambda(exp, bundle)
-    binned = binned_measurement_amplitude(
-        exp.hamiltonian, exp.decomp, exp.grid, exp.psi0, exp.spec)
-    field = amplitude_field(
-        exp.hamiltonian, exp.decomp, exp.grid, exp.betas, exp.lgrids, exp.psi0)
+    binned = _route_paths(exp, bundle)
+    field = _route_lambda(exp, bundle)
     res = binned_field_residual(field, binned)
     bundle.residuals["paths_vs_lambda"] = _residual(res, tols["crosscheck"])
     mcfg = exp.cfg.get("mensky")
@@ -553,7 +569,12 @@ def emit(bundle: ResultBundle, fmt: str, outdir: str) -> list:
         path = os.path.join(outdir, f"{name}.csv")
         cols = list(table.keys())
         rows = len(next(iter(table.values()))) if table else 0
-        with open(path, "w", encoding="utf-8") as fh:
+        # one write buffer for the whole table, sized from its shape alone
+        # (a float takes at most 24 characters): the table goes out in one
+        # write, and every table of a shape allocates the same block, so
+        # peak memory does not depend on the values written
+        size = min(CSV_BUFFER_MAX, CSV_CELL_BYTES * len(cols) * (rows + 1))
+        with open(path, "w", encoding="utf-8", buffering=max(size, io.DEFAULT_BUFFER_SIZE)) as fh:
             fh.write(",".join(cols) + "\n")
             for r in range(rows):
                 fh.write(",".join(_fmt(table[c][r]) for c in cols) + "\n")
@@ -574,17 +595,6 @@ def emit(bundle: ResultBundle, fmt: str, outdir: str) -> list:
 # ---------------------------------------------------------------- main
 
 
-def _apply_threads(threads: int | None) -> None:
-    # env override wins; best effort -- BLAS pools honour these only if
-    # set before they spin up
-    value = os.environ.get("PATHMETER_THREADS")
-    if value is None and threads is not None:
-        value = str(threads)
-    if value is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, value)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pathmeter",
@@ -595,10 +605,8 @@ def main(argv=None) -> int:
     runp.add_argument("config", help="JSON experiment description")
     runp.add_argument("--out", default="out", help="output directory")
     runp.add_argument("--format", choices=("csv", "json"), default=None)
-    runp.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
 
-    _apply_threads(args.threads)
     try:
         cfg = load_config(args.config)
         bundle = run(cfg)

@@ -34,17 +34,19 @@ class LengthMismatch(PathMeterError):
 
 
 class CapExceeded(PathMeterError):
-    """Exhaustive enumeration would exceed the configured path cap.
+    """A path sum would hold more path classes than the configured cap.
 
-    Carries (requested, cap). Reduce the slice count or switch to the
-    pointer-variable Fourier route, which does not enumerate paths.
+    Carries (requested, cap): the candidate (key, end label) classes of
+    the next slice, which are the paths themselves when nothing merges.
+    Reduce the slice count or switch to the pointer-variable Fourier
+    route, which does not sum paths.
     """
 
     def __init__(self, requested, cap):
         self.requested = int(requested)
         self.cap = int(cap)
         super().__init__(
-            f"{self.requested} paths exceed the enumeration cap {self.cap}; "
+            f"{self.requested} path classes exceed the cap {self.cap}; "
             "reduce N or use the lambda route"
         )
 

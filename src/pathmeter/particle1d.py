@@ -27,16 +27,7 @@ import numpy as np
 from .errors import GridMismatch
 from .fourier import centered_idft
 from .meters import AmplitudeField, LambdaGrid, _check_grids
-from .pathsum import (
-    PATH_CAP,
-    BinnedAmplitudes,
-    _binned_engine,
-    _block_amplitudes,
-    _check_cap,
-    _enumerate_blocks,
-    _grouped_sum,
-    _Kahan,
-)
+from .pathsum import PATH_CAP, BinnedAmplitudes, _class_sum, _functional_inc
 from .timegrid import SwitchingFunction, TimeGrid, slice_weights
 
 
@@ -232,7 +223,7 @@ def _dense_slice_operator(psi: LatticeWavefunction, V, grid: TimeGrid,
 def tiny_lattice_feynman_sum(psi0: LatticeWavefunction, V, grid: TimeGrid,
                              cap: int = PATH_CAP,
                              split_kinetic: bool = False) -> np.ndarray:
-    """Exhaustive sum over position histories on a tiny lattice.
+    """Sum over every position history on a tiny lattice.
 
     Path weights are products of one-slice matrix elements of the dense
     lattice Hamiltonian (finite-difference kinetic term); the complete
@@ -244,15 +235,9 @@ def tiny_lattice_feynman_sum(psi0: LatticeWavefunction, V, grid: TimeGrid,
     """
     V = np.asarray(V, dtype=float)
     _check_lattice(psi0, [("potential", V)])
-    n, N = psi0.n_x, grid.steps
-    _check_cap(n, N, cap)
     u = _dense_slice_operator(psi0, V, grid, split_kinetic)
-    v0 = u @ psi0.values
-    acc = _Kahan(n)
-    for K in _enumerate_blocks(n, N):
-        amp = _block_amplitudes(K, u, v0)
-        acc.add(_grouped_sum(K[:, -1], amp, n))
-    return acc.value
+    _, states = _class_sum(u, u @ psi0.values, grid.steps, cap)
+    return states.sum(axis=0)
 
 
 def tiny_lattice_feynman_bins(psi0: LatticeWavefunction, V, grid: TimeGrid,
@@ -267,5 +252,6 @@ def tiny_lattice_feynman_bins(psi0: LatticeWavefunction, V, grid: TimeGrid,
     if bin_tol is None:
         scale = max(1.0, float(np.abs(cf.values).max()))
         bin_tol = 1e-6 * float(np.abs(w).max()) * scale
-    return _binned_engine(u, psi0.values, grid.steps, w[None, :], cf.values,
-                          cap, bin_tol)
+    keys, states = _class_sum(u, u @ psi0.values, grid.steps, cap,
+                              _functional_inc(w, cf.values), bin_tol)
+    return BinnedAmplitudes(keys, states, bin_tol)

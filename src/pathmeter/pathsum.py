@@ -1,4 +1,4 @@
-"""Exhaustive eigenpath enumeration, path amplitudes and restricted sums.
+"""Eigenpath enumeration, path amplitudes and restricted sums.
 
 An eigenpath assigns one eigenvalue index of the measured observable to
 every time slice. Its amplitude operator is the left-ordered product
@@ -7,18 +7,22 @@ every time slice. Its amplitude operator is the left-ordered product
 
 (slice 1 acts first). Because each projector is rank one, a path's
 substate is always amp * |a_{k_N}>, with amp a telescoping product of
-one-slice transition elements in the observable's eigenbasis; the block
-engine below exploits this so millions of paths stay cheap.
+one-slice transition elements in the observable's eigenbasis.
 
-Sums over all paths reproduce the sliced propagator exactly (resolution
-of the identity); restricted sums grouped by meter functionals give the
-measurement amplitudes per readout value; grouping by the number of
-jumps recovers the nested time-ordered perturbation series in the
-off-diagonal coupling.
+Restricted sums run over every path that shares a key: the meter
+functional F = sum_j w_j a(t_j), the number of jumps, or nothing (the
+complete sum, which reproduces the sliced propagator). Path sums are
+associative, so the engine never lists the dim**N paths. It carries
+classes (partial key, end label) -> summed amplitude through the slices
+and merges classes that agree after every slice, the direct-space dual
+of the pointer (lambda) route. Commensurate eigenvalues keep the class
+count polynomial in N; generic values merge nothing and cost as much as
+listing the paths. Grouping by jumps recovers the nested time-ordered
+perturbation series in the off-diagonal coupling.
 
-Enumeration order is lexicographic and every reduction runs in a fixed
-order (compensated across blocks), so results are reproducible bit for
-bit for a given configuration.
+Every reduction runs in a fixed order, so results are reproducible bit
+for bit for a given configuration. enumerate_eigenpaths and
+path_amplitude stay as the literal one-path-at-a-time oracle.
 """
 
 from __future__ import annotations
@@ -45,8 +49,6 @@ from .hilbert import (
 from .timegrid import PathFunctionalSpec, TimeGrid
 
 PATH_CAP = 2**22
-_BLOCK = 1 << 16
-_CHUNK = 1 << 14
 MAX_SIMPLEX_POINTS = 2**22
 
 
@@ -88,7 +90,8 @@ class BinnedAmplitudes:
         return self.f_values.shape[0]
 
     def total(self) -> np.ndarray:
-        return self.states.sum(axis=0)
+        # pairwise summation runs along the contiguous axis only
+        return np.ascontiguousarray(self.states.T).sum(axis=1)
 
     def state_at(self, f, tol: float | None = None) -> np.ndarray:
         """State of the bin whose key matches `f` within tol."""
@@ -109,22 +112,6 @@ def _require_labeling(decomp: SpectralDecomposition):
         )
 
 
-def _check_cap(dim: int, N: int, cap: int) -> int:
-    total = dim**N
-    if total > cap:
-        raise CapExceeded(total, cap)
-    return total
-
-
-def _enumerate_blocks(dim: int, N: int, block: int = _BLOCK):
-    """Lexicographically ordered index arrays, shape (<=block, N)."""
-    total = dim**N
-    radix = dim ** np.arange(N - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, block):
-        p = np.arange(start, min(start + block, total), dtype=np.int64)
-        yield (p[:, None] // radix[None, :]) % dim
-
-
 def _slice_transfer(H, decomp: SpectralDecomposition, grid: TimeGrid):
     """One-slice propagator in the labeling eigenbasis, plus psi0 hook."""
     H = require_hermitian(H, "Hamiltonian")
@@ -136,47 +123,12 @@ def _slice_transfer(H, decomp: SpectralDecomposition, grid: TimeGrid):
     return decomp.eigenvectors.conj().T @ u_full @ decomp.eigenvectors
 
 
-def _block_amplitudes(K: np.ndarray, u: np.ndarray, v0: np.ndarray) -> np.ndarray:
-    amp = v0[K[:, 0]].copy()
-    for j in range(1, K.shape[1]):
-        amp *= u[K[:, j], K[:, j - 1]]
-    return amp
-
-
-class _Kahan:
-    """Compensated accumulator for complex arrays."""
-
-    def __init__(self, shape):
-        self.value = np.zeros(shape, dtype=complex)
-        self._c = np.zeros(shape, dtype=complex)
-
-    def add(self, x):
-        y = x - self._c
-        t = self.value + y
-        self._c = (t - self.value) - y
-        self.value = t
-
-
-def _grouped_sum(ids: np.ndarray, amp: np.ndarray, n_ids: int) -> np.ndarray:
-    """sum of amp per id, compensated across fixed-size chunks."""
-    if ids.size <= _CHUNK:
-        re = np.bincount(ids, weights=amp.real, minlength=n_ids)
-        im = np.bincount(ids, weights=amp.imag, minlength=n_ids)
-        return re + 1j * im
-    acc = _Kahan(n_ids)
-    for s in range(0, ids.size, _CHUNK):
-        sl = slice(s, s + _CHUNK)
-        re = np.bincount(ids[sl], weights=amp.real[sl], minlength=n_ids)
-        im = np.bincount(ids[sl], weights=amp.imag[sl], minlength=n_ids)
-        acc.add(re + 1j * im)
-    return acc.value
-
-
 def enumerate_eigenpaths(dim: int, grid: TimeGrid, cap: int = PATH_CAP):
     """Yield all dim**N eigenpaths in lexicographic order."""
     if dim < 2:
         raise ValueError(f"need dim >= 2 to label paths, got {dim}")
-    _check_cap(dim, grid.steps, cap)
+    if dim**grid.steps > cap:
+        raise CapExceeded(dim**grid.steps, cap)
     for indices in itertools.product(range(dim), repeat=grid.steps):
         yield EigenPath(indices)
 
@@ -212,23 +164,19 @@ def path_sum_total(H, decomp: SpectralDecomposition, grid: TimeGrid, psi0,
                    cap: int = PATH_CAP) -> np.ndarray:
     """Coherent sum over every eigenpath; equals exp(-iHT) psi0."""
     _require_labeling(decomp)
-    _check_cap(decomp.dim, grid.steps, cap)
     u = _slice_transfer(H, decomp, grid)
-    v0 = u @ decomp.to_eigenbasis(psi0)
-    acc = _Kahan(decomp.dim)
-    for K in _enumerate_blocks(decomp.dim, grid.steps):
-        amp = _block_amplitudes(K, u, v0)
-        acc.add(_grouped_sum(K[:, -1], amp, decomp.dim))
-    return decomp.from_eigenbasis(acc.value)
+    _, states = _class_sum(u, u @ decomp.to_eigenbasis(psi0), grid.steps, cap)
+    return decomp.from_eigenbasis(states.sum(axis=0))
 
 
-def _cluster_columns(F: np.ndarray, tol: float):
+def _cluster_columns(F: np.ndarray, tol: float, means: bool = True):
     """Quantise each column into gap-separated clusters.
 
     Assumes genuinely distinct functional values are separated by much
     more than tol (they live on the attainable-value lattice), so a gap
     split on the sorted column is unambiguous. Returns integer ids per
-    row and the per-column cluster representatives (means).
+    row and, with means=True, the per-column cluster representatives
+    (means); otherwise an empty list.
     """
     P, M = F.shape
     ids = np.empty((P, M), dtype=np.int64)
@@ -243,50 +191,78 @@ def _cluster_columns(F: np.ndarray, tol: float):
         back = np.empty(P, dtype=np.int64)
         back[order] = cid
         ids[:, i] = back
-        counts = np.bincount(cid)
-        reps.append(np.bincount(cid, weights=col) / counts)
+        if means:
+            reps.append(np.bincount(cid, weights=col) / np.bincount(cid))
     return ids, reps
 
 
-def _binned_engine(u, psi0_lab, N, weights, value_table, cap, bin_tol,
-                   basis=None) -> BinnedAmplitudes:
-    """Restricted-sum engine in the labeling basis.
+def _merge(keys, ends, amps, tol, snap):
+    """Sum the classes that share a key and an end label; drop exact zeros.
 
-    `u` is the one-slice propagator in the basis whose unit vectors label
-    the paths, `psi0_lab` the initial state in that basis, `value_table`
-    the measured value per label. `basis` (columns) rotates the binned
-    states back to the computational basis when given.
+    A merged float key is the mean of its members, so an unmerged class
+    keeps its exact partial key; snap=True replaces every float key by its
+    column cluster's mean instead, which makes equal keys bit-identical.
     """
-    dim = u.shape[0]
-    _check_cap(dim, N, cap)
-    v0 = u @ psi0_lab
-    value_table = np.asarray(value_table, dtype=float)
-    weights = np.atleast_2d(weights)
+    ids = keys
+    if keys.dtype.kind == "f" and keys.size:
+        ids, reps = _cluster_columns(keys, tol, means=snap)
+        if snap:
+            keys = np.stack([rep[i] for rep, i in zip(reps, ids.T)], axis=1)
+    order = np.lexsort((ends, *ids.T[::-1]))
+    ids, keys, ends, amps = ids[order], keys[order], ends[order], amps[order]
+    first = np.ones(ends.size, dtype=bool)
+    first[1:] = (ends[1:] != ends[:-1]) | np.any(ids[1:] != ids[:-1], axis=1)
+    starts = np.flatnonzero(first)
+    amps = np.add.reduceat(amps, starts)
+    if keys.dtype.kind == "f" and not snap:
+        keys = np.add.reduceat(keys, starts) / np.diff(np.append(starts, ends.size))[:, None]
+    else:
+        keys = keys[starts]
+    keep = amps != 0
+    return keys[keep], ends[starts][keep], amps[keep]
 
-    f_rows, amps, ends = [], [], []
-    for K in _enumerate_blocks(dim, N):
-        amps.append(_block_amplitudes(K, u, v0))
-        f_rows.append(value_table[K] @ weights.T)
-        ends.append(K[:, -1])
-    F = np.concatenate(f_rows)
-    amp = np.concatenate(amps)
-    kN = np.concatenate(ends)
 
-    ids, reps = _cluster_columns(F, bin_tol)
-    uniq, inverse = np.unique(ids, axis=0, return_inverse=True)
-    n_bins = uniq.shape[0]
-    flat = _grouped_sum(inverse * dim + kN, amp, n_bins * dim)
-    states = flat.reshape(n_bins, dim)
-    f_values = np.stack(
-        [reps[i][uniq[:, i]] for i in range(uniq.shape[1])], axis=1
-    )
-    # drop keys whose substate vanished identically (e.g. jump paths cut
-    # by a diagonal propagator); exact zeros only, so pruning is stable
-    keep = np.linalg.norm(states, axis=1) > 0.0
-    f_values, states = f_values[keep], states[keep]
-    if basis is not None:
-        states = states @ basis.T
-    return BinnedAmplitudes(f_values, states, bin_tol)
+def _class_sum(u, v0, steps: int, cap: int, inc=None, tol: float = 0.0):
+    """Restricted path sums by prefix classes: the engine behind every sum.
+
+    A class (key, end label l) holds the summed amplitude of every history
+    that ends on l with that partial key. Slice 1 seeds class (inc[0, 0, l],
+    l) with amplitude v0[l]; each later slice j sends (k, l) to
+    (k + inc[j, l, l'], l') with factor u[l', l]. After every slice,
+    classes with equal end labels and keys merge: float keys by gap
+    clustering within tol (snapped to the cluster means after the last
+    slice), integer keys only when exactly equal. `inc`
+    broadcasts to (steps, d, d, M); None means no key (M = 0). `cap`
+    bounds the candidate classes of the next slice, which equal the paths
+    when nothing merges. Returns the distinct keys (K, M), in lexicographic
+    order, and the summed states (K, d) in the labeling basis.
+    """
+    d = u.shape[0]
+    inc = np.zeros((1, 1, 1, 0), dtype=np.int64) if inc is None else inc
+    M = inc.shape[-1]
+    inc = np.broadcast_to(inc, (steps, d, d, M))
+    keys = np.zeros((1, M), dtype=inc.dtype)
+    ends = np.zeros(1, dtype=np.int64)
+    amps = np.ones(1, dtype=np.result_type(u, v0))
+    for j in range(steps):
+        n = ends.size * d
+        if n > cap:
+            raise CapExceeded(n, cap)
+        step = u.T if j else v0[None, :]
+        keys = (keys[:, None, :] + inc[j][ends]).reshape(n, M)
+        amps = (amps[:, None] * step[ends]).reshape(n)
+        ends = np.tile(np.arange(d), ends.size)
+        keys, ends, amps = _merge(keys, ends, amps, tol, snap=j == steps - 1)
+    first = np.ones(ends.size, dtype=bool)
+    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    states = np.zeros((int(first.sum()), d), dtype=amps.dtype)
+    states[np.cumsum(first) - 1, ends] = amps
+    return keys[first], states
+
+
+def _functional_inc(weights, values) -> np.ndarray:
+    """Key increments w_ij * F(l') of the meter functionals, (N, 1, d, M)."""
+    return (np.atleast_2d(weights).T[:, None, :] * np.asarray(values, float)[:, None])[:, None]
 
 
 def binned_measurement_amplitude(H, decomp: SpectralDecomposition,
@@ -305,10 +281,10 @@ def binned_measurement_amplitude(H, decomp: SpectralDecomposition,
         raise DimensionMismatch("functional spec built on a different time grid")
     tol = spec.bin_tol() if bin_tol is None else bin_tol
     u = _slice_transfer(H, decomp, grid)
-    return _binned_engine(
-        u, decomp.to_eigenbasis(psi0), grid.steps, spec.weight_matrix(),
-        decomp.eigenvalues, cap, tol, basis=decomp.eigenvectors,
-    )
+    keys, states = _class_sum(
+        u, u @ decomp.to_eigenbasis(psi0), grid.steps, cap,
+        _functional_inc(spec.weight_matrix(), decomp.eigenvalues), tol)
+    return BinnedAmplitudes(keys, states @ decomp.eigenvectors.T, tol)
 
 
 def relabel_by_function(H, decomp: SpectralDecomposition, grid: TimeGrid,
@@ -321,8 +297,8 @@ def relabel_by_function(H, decomp: SpectralDecomposition, grid: TimeGrid,
     F(a_k); paths are re-grouped by sum_j w_j F(a(t_j)). Degenerate maps
     merge histories (their substates add coherently); a constant map
     collapses everything into a single bin holding the full evolved
-    state. Re-grouping needs path-level data, so this enumerates paths
-    rather than regrouping existing bins.
+    state. Re-grouping needs path-level keys, so this reruns the class
+    sum with the mapped values rather than regrouping existing bins.
     """
     _require_labeling(decomp)
     if spec.grid != grid:
@@ -332,27 +308,24 @@ def relabel_by_function(H, decomp: SpectralDecomposition, grid: TimeGrid,
         scale = max(1.0, float(np.abs(mapped).max()))
         bin_tol = spec.bin_tol() * scale
     u = _slice_transfer(H, decomp, grid)
-    return _binned_engine(
-        u, decomp.to_eigenbasis(psi0), grid.steps, spec.weight_matrix(),
-        mapped, cap, bin_tol, basis=decomp.eigenvectors,
-    )
+    keys, states = _class_sum(
+        u, u @ decomp.to_eigenbasis(psi0), grid.steps, cap,
+        _functional_inc(spec.weight_matrix(), mapped), bin_tol)
+    return BinnedAmplitudes(keys, states @ decomp.eigenvectors.T, bin_tol)
 
 
 def group_paths_by_jumps(H, decomp: SpectralDecomposition, grid: TimeGrid,
                          psi0, cap: int = PATH_CAP) -> dict:
     """Partial path sums keyed by the number of jumps along the path."""
     _require_labeling(decomp)
-    _check_cap(decomp.dim, grid.steps, cap)
-    u = _slice_transfer(H, decomp, grid)
-    v0 = u @ decomp.to_eigenbasis(psi0)
     N, d = grid.steps, decomp.dim
-    acc = _Kahan((N, d))
-    for K in _enumerate_blocks(d, N):
-        amp = _block_amplitudes(K, u, v0)
-        jumps = (K[:, 1:] != K[:, :-1]).sum(axis=1)
-        flat = _grouped_sum(jumps * d + K[:, -1], amp, N * d)
-        acc.add(flat.reshape(N, d))
-    states = acc.value @ decomp.eigenvectors.T
+    u = _slice_transfer(H, decomp, grid)
+    # key increment [l != l'] on every slice after the first
+    jumps = (np.arange(N) > 0)[:, None, None, None] * (1 - np.eye(d, dtype=np.int64))[..., None]
+    keys, states = _class_sum(u, u @ decomp.to_eigenbasis(psi0), N, cap, jumps)
+    by_count = np.zeros((N, d), dtype=complex)
+    by_count[keys[:, 0]] = states
+    states = by_count @ decomp.eigenvectors.T
     return {n: states[n] for n in range(N)}
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DimensionMismatch, GridMismatch
 from .hilbert import SpectralDecomposition, as_state
 from .meters import AmplitudeField, LambdaGrid, _as_decomp, _check_grids, _slice_transfer
-from .pathsum import PATH_CAP, _check_cap, _enumerate_blocks, _grouped_sum
+from .pathsum import PATH_CAP, _class_sum
 from .timegrid import SwitchingFunction, TimeGrid, slice_weights
 
 KERNEL_TOL = 1e-6
@@ -146,22 +146,20 @@ def von_neumann_basis_change(psi, decompA: SpectralDecomposition,
 
 def completeness_identity_check(H, decompA: SpectralDecomposition,
                                 grid: TimeGrid, cap: int = PATH_CAP) -> float:
-    """|sum over eigenpaths of U[a]^dag U[a] - 1|_max by brute enumeration.
+    """|sum over eigenpaths of U[a]^dag U[a] - 1|_max.
 
     Every path operator factorises as c[a] |a_kN><row(k1)|, so the sum
     collapses to U_eps^dag diag(s) U_eps with s_k the total squared path
     weight starting from k; the identity holds because the jump-weight
-    matrix is doubly stochastic. The check still enumerates every path.
+    matrix is doubly stochastic. s is a class sum of the squared
+    transfer |u|^2 keyed by the start label, with the first-slice factor
+    deferred to the end.
     """
     d, N = decompA.dim, grid.steps
-    _check_cap(d, N, cap)
     u = _slice_transfer(H, decompA, grid)
+    start = (np.arange(N) == 0)[:, None, None, None] * np.arange(d)[:, None]
+    keys, weights = _class_sum(np.abs(u) ** 2, np.ones(d), N, cap, start)
     start_weight = np.zeros(d)
-    for K in _enumerate_blocks(d, N):
-        # per-path |c|^2 with the first-slice factor deferred to the end
-        c = np.ones(K.shape[0], dtype=complex)
-        for j in range(1, N):
-            c *= u[K[:, j], K[:, j - 1]]
-        start_weight += _grouped_sum(K[:, 0], np.abs(c) ** 2 + 0j, d).real
+    start_weight[keys[:, 0]] = weights.sum(axis=1)
     total = u.conj().T @ np.diag(start_weight) @ u
     return float(np.abs(total - np.eye(d)).max())

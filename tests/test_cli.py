@@ -52,19 +52,50 @@ class TestRun:
         assert code == cli.EXIT_CONFIG
         assert "time" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, field", [
+        ({"time": {"total": 1.0, "slices": 0}}, "time.slices"),
+        ({"time": {"total": 1.0, "slices": "abc"}}, "time.slices"),
+        ({"time": {"total": 1.0, "slices": 12.9}}, "time.slices"),
+        ({"meters": [{"beta": {"kind": "constant", "value": 1.0},
+                      "grid": {"points": 100, "aligned": True}}]},
+         "meters[0].grid.points"),
+        ({"seed": -1}, "seed"),
+        ({"system": {"kind": "random", "dim": 2.5}}, "system.dim"),
+        ({"route": "lambda", "system": {"kind": "particle1d", "n_x": 100}},
+         "system.n_x"),
+    ])
+    def test_bad_integer_field_exits_2_and_names_it(self, tmp_path, capsys,
+                                                    override, field):
+        cfg = {**copy.deepcopy(BASE_CONFIG), **override}
+        code, _ = run_main(tmp_path, cfg)
+        assert code == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
     def test_bad_schema_version(self, tmp_path):
         cfg = copy.deepcopy(BASE_CONFIG)
         cfg["schema_version"] = 99
         code, _ = run_main(tmp_path, cfg)
         assert code == cli.EXIT_CONFIG
 
-    def test_path_cap_exits_3(self, tmp_path):
-        cfg = copy.deepcopy(BASE_CONFIG)
-        cfg["route"] = "paths"
-        cfg["time"] = {"total": 1.0, "slices": 40}
-        cfg["meters"][0]["grid"] = {"points": 256, "df": 0.05}
+    def test_path_cap_exits_3(self, tmp_path, capsys):
+        """Incommensurate slice weights merge almost no classes, so slice 4
+        would need about 64^4 candidates, past the default cap."""
+        cfg = {
+            "schema_version": 1,
+            "route": "paths",
+            "seed": 3,
+            "system": {"kind": "random", "dim": 64},
+            "observable": {"kind": "coordinates"},
+            "time": {"total": 1.0, "slices": 4},
+            "meters": [{
+                "beta": {"kind": "sampled",
+                         "values": [1.0, 2**0.5, 3**0.5, 5**0.5]},
+                "grid": {"points": 256, "df": 0.05},
+            }],
+        }
         code, _ = run_main(tmp_path, cfg)
         assert code == cli.EXIT_RESOURCE
+        assert "cap" in capsys.readouterr().err
 
     def test_residual_failure_exits_1(self, tmp_path):
         cfg = copy.deepcopy(BASE_CONFIG)
@@ -147,6 +178,15 @@ class TestEmit:
         assert cli.main(["run", path, "--out", str(p2)]) == 0
         for f in sorted(p1.iterdir()):
             assert f.read_bytes() == (p2 / f.name).read_bytes(), f.name
+
+    def test_csv_bytes_do_not_depend_on_buffer_size(self, tmp_path, monkeypatch):
+        bundle = cli.run(copy.deepcopy(BASE_CONFIG))
+        whole = cli.emit(bundle, "csv", str(tmp_path / "whole"))
+        monkeypatch.setattr(cli, "CSV_BUFFER_MAX", 1)  # default-size buffer, many flushes
+        pieces = cli.emit(bundle, "csv", str(tmp_path / "pieces"))
+        assert (tmp_path / "whole" / "field.csv").stat().st_size > 2 * 8192
+        for a, b in zip(whole, pieces):
+            assert open(a, "rb").read() == open(b, "rb").read(), a
 
     def test_json_format(self, tmp_path):
         code, out = run_main(tmp_path, BASE_CONFIG, "--format", "json")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pathmeter import hilbert, meters, particle1d
-from pathmeter.errors import CapExceeded, GridMismatch
+from pathmeter.errors import GridMismatch
 from pathmeter.meters import LambdaGrid
 from pathmeter.particle1d import CoordinateFunctional, LatticeWavefunction
 from pathmeter.timegrid import SwitchingFunction, TimeGrid
@@ -182,12 +182,6 @@ class TestTinyLatticeFeynman:
         field = particle1d.coordinate_amplitude_field(
             psi, V, grid, cf, lgrid, kinetic="finite_difference")
         assert meters.binned_field_residual(field, bins) < 1e-9
-
-    def test_cap(self):
-        psi = free_packet(n_x=64)
-        with pytest.raises(CapExceeded):
-            particle1d.tiny_lattice_feynman_sum(
-                psi, np.zeros(64), TimeGrid(1.0, 8), cap=2**20)
 
 
 def test_symmetric_splitting_is_second_order():

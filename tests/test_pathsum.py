@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from pathmeter import hilbert, pathsum, timegrid
+from pathmeter import hilbert, pathsum, timegrid, transforms
 from pathmeter.errors import AllZeroSubstates, CapExceeded, DegenerateSpectrum, QuadratureBudgetExceeded
 from pathmeter.timegrid import PathFunctionalSpec, SwitchingFunction, TimeGrid
 
@@ -31,6 +32,13 @@ def brute_force_bins(H, decomp, grid, psi0, spec, ndigits=9):
     return bins
 
 
+def separated(F, tol):
+    """Distinct functional values in every column lie far beyond tol: the
+    class engine's clustering assumption, also what 9-digit oracle keys need."""
+    gaps = np.diff(np.sort(np.atleast_2d(F), axis=0), axis=0)
+    return bool(np.all((gaps < 1e-12) | (gaps > 1e3 * tol)))
+
+
 class TestEnumeration:
     def test_counts_and_order(self):
         paths = list(pathsum.enumerate_eigenpaths(2, TimeGrid(1.0, 3)))
@@ -42,14 +50,6 @@ class TestEnumeration:
     def test_cap_exceeded(self):
         with pytest.raises(CapExceeded):
             list(pathsum.enumerate_eigenpaths(2, TimeGrid(1.0, 40), cap=2**24))
-
-    def test_block_enumeration_matches_generator(self):
-        """The vectorised block engine walks the same lexicographic order
-        as the public generator, including across block boundaries."""
-        blocks = np.concatenate(list(pathsum._enumerate_blocks(3, 4, block=7)))
-        gen = np.array([p.indices for p in
-                        pathsum.enumerate_eigenpaths(3, TimeGrid(1.0, 4))])
-        assert np.array_equal(blocks, gen)
 
     def test_jump_count(self):
         assert pathsum.EigenPath((0, 0, 1, 1, 0)).jump_count == 2
@@ -122,6 +122,15 @@ class TestPathSumTotal:
 
 
 class TestBinnedAmplitudes:
+    def test_total_is_pairwise(self):
+        """2^20 bins: adding rows one after another drifts by ~3e-14
+        relative; the pairwise sum stays at the rounding of the result."""
+        rng = np.random.default_rng(5)
+        states = rng.uniform(size=(2**20, 2)) + 1j * rng.uniform(size=(2**20, 2))
+        bins = pathsum.BinnedAmplitudes(np.zeros((2**20, 1)), states, 1e-6)
+        exact = [complex(math.fsum(c.real), math.fsum(c.imag)) for c in states.T]
+        assert np.abs(bins.total() - exact).max() <= 4e-15 * np.abs(exact).max()
+
     def test_diagonal_hamiltonian_two_bins(self, coord_decomp):
         """No coupling: only the two constant paths survive."""
         e1, e2 = 0.3, 1.1
@@ -369,3 +378,86 @@ class TestTwoSlitWeights:
     def test_all_zero_rejected(self):
         with pytest.raises(AllZeroSubstates):
             pathsum.two_slit_weights([np.zeros(2), np.zeros(2)])
+
+
+@st.composite
+def path_problems(draw):
+    """Small system, observable, state and one or two meters; the floats
+    come from a drawn seed so every draw is non-degenerate."""
+    d = draw(st.sampled_from([2, 3]))
+    N = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = random_hermitian(rng, d)
+    if draw(st.booleans()):  # commensurate spectrum: classes merge
+        eig = np.arange(1.0, d + 1)
+    else:
+        eig = np.cumsum(rng.uniform(0.3, 1.5, size=d)) - 1.0
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    dec = hilbert.spectral_decompose((Q * eig) @ Q.conj().T)
+    psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+    grid = TimeGrid(draw(st.sampled_from([0.5, 1.0, 1.7])), N)
+    betas = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["impulse", "constant", "sampled"]))
+        if kind == "impulse":
+            betas.append(SwitchingFunction.impulse(rng.uniform(0, grid.total_time)))
+        elif kind == "constant":
+            betas.append(SwitchingFunction.constant(rng.uniform(0.5, 2.0)))
+        else:
+            betas.append(SwitchingFunction.sampled(rng.uniform(-1.0, 2.0, size=N)))
+    mapped = rng.choice([0.0, 1.0, 2.5], size=d)  # degenerate or constant maps
+    return H, dec, grid, psi0, PathFunctionalSpec(grid, betas), mapped
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(path_problems())
+def test_class_engine_matches_literal_paths(problem):
+    """Binned, relabelled, jump-class, total and completeness sums of the
+    class engine against the one-path-at-a-time literal oracle."""
+    H, dec, grid, psi0, spec, mapped = problem
+    W = spec.weight_matrix()
+    paths = list(pathsum.enumerate_eigenpaths(dec.dim, grid))
+    F = np.array([W @ dec.eigenvalues[list(p.indices)] for p in paths])
+    G = np.array([W[0] @ mapped[list(p.indices)] for p in paths])
+    relabel_tol = spec.bin_tol() * max(1.0, float(np.abs(mapped).max()))
+    assume(separated(F, spec.bin_tol()) and separated(G[:, None], relabel_tol))
+    subs = [pathsum.path_amplitude(H, dec, grid, p, psi0) for p in paths]
+
+    bins = pathsum.binned_measurement_amplitude(H, dec, grid, psi0, spec)
+    oracle = brute_force_bins(H, dec, grid, psi0, spec)
+    assert bins.n_bins == len(oracle)
+    assert np.all(np.diff(bins.f_values[:, 0]) >= 0)
+    for row, state in zip(bins.f_values, bins.states):
+        assert np.abs(state - oracle[tuple(np.round(row, 9))]).max() < 1e-12
+
+    spec1 = PathFunctionalSpec(grid, spec.betas[:1])
+    merged = pathsum.relabel_by_function(
+        H, dec, grid, psi0, spec1,
+        lambda a: mapped[np.argmin(np.abs(dec.eigenvalues - a))])
+    regrouped = {}
+    for g, sub in zip(G, subs):
+        key = round(g, 9)
+        regrouped[key] = regrouped.get(key, 0) + sub.state
+    assert merged.n_bins == len(regrouped)
+    for row, state in zip(merged.f_values, merged.states):
+        assert np.abs(state - regrouped[round(row[0], 9)]).max() < 1e-12
+
+    classes = pathsum.group_paths_by_jumps(H, dec, grid, psi0)
+    for n in range(grid.steps):
+        expected = sum((s.state for s in subs if s.jump_count == n), np.zeros(dec.dim))
+        assert np.abs(classes[n] - expected).max() < 1e-12
+
+    total = pathsum.path_sum_total(H, dec, grid, psi0)
+    assert np.abs(total - sum(s.state for s in subs)).max() < 1e-12
+
+    # literal sum over paths of U[a]^dag U[a], one operator per path
+    U = hilbert.exact_propagator(H, grid.eps)
+    acc = np.zeros((dec.dim, dec.dim), dtype=complex)
+    for p in paths:
+        op = np.eye(dec.dim)
+        for k in p.indices:
+            op = dec.projector(k) @ U @ op
+        acc += op.conj().T @ op
+    literal = float(np.abs(acc - np.eye(dec.dim)).max())
+    engine = transforms.completeness_identity_check(H, dec, grid)
+    assert engine < 1e-12 and literal < 1e-12
