@@ -6,8 +6,7 @@ experiment per invocation; outputs are byte-stable for a fixed config
 and seed (timings go to stderr, never into the output files).
 
 Exit codes: 0 all residuals pass, 1 residual failure, 2 configuration or
-I/O error, 3 resource/grid cap (path cap, Nyquist, grid coverage,
-quadrature budget).
+I/O error, 3 resource/grid cap (path cap, Nyquist, grid coverage).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .errors import (
     GridTooSmall,
     NyquistViolation,
     PathMeterError,
-    QuadratureBudgetExceeded,
 )
 from .hilbert import exact_propagator, require_hermitian, spectral_decompose
 from .meters import (
@@ -107,6 +105,13 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def _positive(value, path: str) -> float:
+    value = _number(value, path)
+    if not (np.isfinite(value) and value > 0):
+        raise ConfigInvalid(path, f"expected a finite number > 0, got {value!r}")
+    return value
+
+
 def _integer(value, path: str, minimum: int = 1, power_of_two: bool = False) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
@@ -165,7 +170,7 @@ def _switching(cfg: dict, grid: TimeGrid, path: str) -> SwitchingFunction:
 def _kernel(cfg: dict, grids, path: str) -> CoarseGrainKernel:
     kind = _need(cfg, "kind", path)
     if kind == "gaussian":
-        width = _number(_need(cfg, "width", path), f"{path}.width")
+        width = _positive(_need(cfg, "width", path), f"{path}.width")
         return CoarseGrainKernel.gaussian(grids, (width,) * len(grids))
     if kind == "shift":
         offs = _number(_need(cfg, "offset", path), f"{path}.offset")
@@ -203,11 +208,14 @@ class _Experiment:
         self.seed = _integer(cfg.get("seed", 0), "seed", minimum=0)
         tcfg = _need(cfg, "time", "<root>")
         self.grid = TimeGrid(
-            _number(_need(tcfg, "total", "time"), "time.total"),
+            _positive(_need(tcfg, "total", "time"), "time.total"),
             _integer(_need(tcfg, "slices", "time"), "time.slices"),
         )
+        tols = cfg.get("tolerances", {})
+        if not isinstance(tols, dict):
+            raise ConfigInvalid("tolerances", f"expected an object, got {tols!r}")
         self.tolerances = dict(DEFAULT_TOLERANCES)
-        self.tolerances.update(cfg.get("tolerances", {}))
+        self.tolerances.update({k: _number(v, f"tolerances.{k}") for k, v in tols.items()})
 
         scfg = _need(cfg, "system", "<root>")
         self.system_kind = _need(scfg, "kind", "system")
@@ -268,7 +276,7 @@ class _Experiment:
             if gcfg.get("aligned", False):
                 lg = aligned_grid(beta, self.grid, self.decomp, L)
             else:
-                df = _number(_need(gcfg, "df", f"meters[{i}].grid"), f"meters[{i}].grid.df")
+                df = _positive(_need(gcfg, "df", f"meters[{i}].grid"), f"meters[{i}].grid.df")
                 lg = LambdaGrid.from_df(L, df)
             self.lgrids.append(lg)
             self.kernels.append(m.get("kernel"))
@@ -342,7 +350,7 @@ class _Experiment:
         gcfg = _need(m, "grid", "meters[0]")
         L = _integer(_need(gcfg, "points", "meters[0].grid"), "meters[0].grid.points",
                      minimum=2, power_of_two=True)
-        df = _number(_need(gcfg, "df", "meters[0].grid"), "meters[0].grid.df")
+        df = _positive(_need(gcfg, "df", "meters[0].grid"), "meters[0].grid.df")
         self.lgrids = [LambdaGrid.from_df(L, df)]
 
 
@@ -427,7 +435,7 @@ def _route_lambda(exp: _Experiment, bundle: ResultBundle):
 def _route_mensky(exp: _Experiment, bundle: ResultBundle) -> None:
     tols = exp.tolerances
     mcfg = exp.cfg.get("mensky", {})
-    sigma = _number(mcfg.get("sigma", 1.0), "mensky.sigma")
+    sigma = _positive(mcfg.get("sigma", 1.0), "mensky.sigma")
     cfg = MenskyConfig(sigma)
     records = []
     rcfg = mcfg.get("records", {"kind": "constant_eigenvalues"})
@@ -494,7 +502,7 @@ def _route_crosscheck(exp: _Experiment, bundle: ResultBundle) -> None:
     bundle.residuals["paths_vs_lambda"] = _residual(res, tols["crosscheck"])
     mcfg = exp.cfg.get("mensky")
     if mcfg and len(exp.betas) == 1 and exp.betas[0].kind != "impulse":
-        sigma = _number(_need(mcfg, "sigma", "mensky"), "mensky.sigma")
+        sigma = _positive(_need(mcfg, "sigma", "mensky"), "mensky.sigma")
         res_w = weak_limit_check(
             exp.hamiltonian, exp.decomp, exp.grid, exp.betas[0],
             [sigma], exp.psi0, exp.lgrids[0])[0]
@@ -613,7 +621,7 @@ def main(argv=None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CapExceeded, NyquistViolation, GridTooSmall, QuadratureBudgetExceeded) as exc:
+    except (CapExceeded, NyquistViolation, GridTooSmall) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except PathMeterError as exc:

@@ -52,7 +52,11 @@ class CapExceeded(PathMeterError):
 
 
 class QuadratureBudgetExceeded(PathMeterError):
-    """Nested time-integral quadrature would exceed the configured point budget."""
+    """A jump-series term would need more recursion cells than the budget.
+
+    The nested time-integral recursion holds order * nodes * dim^2 complex
+    cells; the check runs before anything is allocated.
+    """
 
 
 class AllZeroSubstates(PathMeterError):

@@ -116,25 +116,22 @@ def _check_lattice(psi: LatticeWavefunction, arrays) -> None:
 
 
 def _split_step_batch(values: np.ndarray, kin_angle: np.ndarray,
-                      pos_phases: np.ndarray, symmetric: bool) -> np.ndarray:
+                      base: np.ndarray, coupling: np.ndarray, F: np.ndarray,
+                      symmetric: bool) -> np.ndarray:
     """Advance a (batch, n_x) stack through all slices.
 
-    pos_phases has shape (N, batch, n_x) or (N, 1, n_x); kinetic first,
-    then the position-diagonal factor (half kinetic on both sides when
-    symmetric). kin_angle is the full-step kinetic phase angle.
+    Slice j applies the kinetic step (kin_angle is the full-step phase
+    angle), then the position-diagonal factor base * exp(-i coupling[j, b]
+    F) on row b, with half kinetic steps on both sides when symmetric.
+    coupling has shape (N, batch); the phase is built one slice at a time.
     """
+    kin = np.exp(-0.5j * kin_angle if symmetric else -1j * kin_angle)
     psi = values
-    if symmetric:
-        half = np.exp(-0.5j * kin_angle)
-        for j in range(pos_phases.shape[0]):
-            psi = np.fft.ifft(half * np.fft.fft(psi, axis=-1), axis=-1)
-            psi = psi * pos_phases[j]
-            psi = np.fft.ifft(half * np.fft.fft(psi, axis=-1), axis=-1)
-        return psi
-    full = np.exp(-1j * kin_angle)
-    for j in range(pos_phases.shape[0]):
-        psi = np.fft.ifft(full * np.fft.fft(psi, axis=-1), axis=-1)
-        psi = psi * pos_phases[j]
+    for c in coupling:
+        psi = np.fft.ifft(kin * np.fft.fft(psi, axis=-1), axis=-1)
+        psi *= base * np.exp(-1j * np.outer(c, F))
+        if symmetric:
+            psi = np.fft.ifft(kin * np.fft.fft(psi, axis=-1), axis=-1)
     return psi
 
 
@@ -148,9 +145,8 @@ def split_step_evolve(psi: LatticeWavefunction, V, grid: TimeGrid,
     w = slice_weights(cf.beta, grid)
     kin_angle = _dispersion(psi, kinetic) * grid.eps
     base = np.exp(-1j * V * grid.eps)
-    pos = np.stack([base * np.exp(-1j * lam * w[j] * cf.values)
-                    for j in range(grid.steps)])[:, None, :]
-    out = _split_step_batch(psi.values[None, :], kin_angle, pos, symmetric)[0]
+    out = _split_step_batch(psi.values[None, :], kin_angle, base,
+                            (lam * w)[:, None], cf.values, symmetric)[0]
     return LatticeWavefunction(psi.x_min, psi.dx, out, psi.mass)
 
 
@@ -171,19 +167,8 @@ def coordinate_amplitude_field(psi0: LatticeWavefunction, V, grid: TimeGrid,
     _check_grids(w[None, :], np.array([cf.values.min(), cf.values.max()]), (lgrid,))
     kin_angle = _dispersion(psi0, kinetic) * grid.eps
     base = np.exp(-1j * V * grid.eps)
-    lam = lgrid.lam
-    states = np.broadcast_to(psi0.values, (lam.size, psi0.n_x)).copy()
-    if symmetric:
-        half = np.exp(-0.5j * kin_angle)
-        for j in range(grid.steps):
-            states = np.fft.ifft(half * np.fft.fft(states, axis=-1), axis=-1)
-            states *= base * np.exp(-1j * np.outer(lam * w[j], cf.values))
-            states = np.fft.ifft(half * np.fft.fft(states, axis=-1), axis=-1)
-    else:
-        full = np.exp(-1j * kin_angle)
-        for j in range(grid.steps):
-            states = np.fft.ifft(full * np.fft.fft(states, axis=-1), axis=-1)
-            states *= base * np.exp(-1j * np.outer(lam * w[j], cf.values))
+    states = _split_step_batch(np.tile(psi0.values, (lgrid.lam.size, 1)), kin_angle,
+                               base, np.outer(w, lgrid.lam), cf.values, symmetric)
     field = centered_idft(states, axis=0) * (lgrid.dlam / (2 * np.pi))
     return AmplitudeField((lgrid,), field, kind="fine")
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -49,7 +48,8 @@ from .hilbert import (
 from .timegrid import PathFunctionalSpec, TimeGrid
 
 PATH_CAP = 2**22
-MAX_SIMPLEX_POINTS = 2**22
+MAX_QUADRATURE_CELLS = 2**22
+SNAP_SPREAD = 1e-6  # column clusters narrower than this times bin_tol are one value
 
 
 @dataclass(frozen=True)
@@ -169,55 +169,72 @@ def path_sum_total(H, decomp: SpectralDecomposition, grid: TimeGrid, psi0,
     return decomp.from_eigenbasis(states.sum(axis=0))
 
 
-def _cluster_columns(F: np.ndarray, tol: float, means: bool = True):
+def _cluster_columns(F: np.ndarray, tol: float) -> np.ndarray:
     """Quantise each column into gap-separated clusters.
 
     Assumes genuinely distinct functional values are separated by much
     more than tol (they live on the attainable-value lattice), so a gap
-    split on the sorted column is unambiguous. Returns integer ids per
-    row and, with means=True, the per-column cluster representatives
-    (means); otherwise an empty list.
+    split on the sorted column is unambiguous. Returns integer cluster ids
+    per row, increasing with the column value.
     """
     P, M = F.shape
     ids = np.empty((P, M), dtype=np.int64)
-    reps = []
     for i in range(M):
         order = np.argsort(F[:, i], kind="stable")
-        col = F[order, i]
         starts = np.empty(P, dtype=bool)
         starts[0] = True
-        np.greater(np.diff(col), tol, out=starts[1:])
-        cid = np.cumsum(starts) - 1
-        back = np.empty(P, dtype=np.int64)
-        back[order] = cid
-        ids[:, i] = back
-        if means:
-            reps.append(np.bincount(cid, weights=col) / np.bincount(cid))
-    return ids, reps
+        np.greater(np.diff(F[order, i]), tol, out=starts[1:])
+        ids[order, i] = np.cumsum(starts) - 1
+    return ids
+
+
+def _snap(keys: np.ndarray, ids: np.ndarray, bins: np.ndarray, tol: float) -> np.ndarray:
+    """Every row's float key replaced by one representative per bin.
+
+    A column cluster that spans at most SNAP_SPREAD * tol holds one
+    attainable value up to rounding, and all its rows get the cluster
+    mean. A wider cluster chains distinct values, and each bin (the full
+    cluster-id tuple) gets the mean over its own rows. Columns are summed
+    in ascending value order, so a bin that is one column cluster gets the
+    same value either way.
+    """
+    out = np.empty_like(keys)
+    for i in range(keys.shape[1]):
+        order = np.argsort(keys[:, i], kind="stable")
+        col, cid = keys[order, i], ids[order, i]
+        starts = np.flatnonzero(np.diff(cid, prepend=-1))
+        wide = col[np.append(starts[1:], col.size) - 1] - col[starts] > SNAP_SPREAD * tol
+        group = np.where(wide[cid], starts.size + bins[order], cid)
+        out[order, i] = np.bincount(group, weights=col)[group] / np.bincount(group)[group]
+    return out
 
 
 def _merge(keys, ends, amps, tol, snap):
     """Sum the classes that share a key and an end label; drop exact zeros.
 
     A merged float key is the mean of its members, so an unmerged class
-    keeps its exact partial key; snap=True replaces every float key by its
-    column cluster's mean instead, which makes equal keys bit-identical.
+    keeps its exact partial key; snap=True replaces every float key by a
+    representative of its bin (all classes with the same cluster ids,
+    whatever their end labels) instead, see _snap, which makes the keys of
+    a bin bit-identical.
     """
     ids = keys
     if keys.dtype.kind == "f" and keys.size:
-        ids, reps = _cluster_columns(keys, tol, means=snap)
-        if snap:
-            keys = np.stack([rep[i] for rep, i in zip(reps, ids.T)], axis=1)
+        ids = _cluster_columns(keys, tol)
     order = np.lexsort((ends, *ids.T[::-1]))
     ids, keys, ends, amps = ids[order], keys[order], ends[order], amps[order]
-    first = np.ones(ends.size, dtype=bool)
-    first[1:] = (ends[1:] != ends[:-1]) | np.any(ids[1:] != ids[:-1], axis=1)
+    new_bin = np.ones(ends.size, dtype=bool)
+    new_bin[1:] = np.any(ids[1:] != ids[:-1], axis=1)
+    first = new_bin.copy()
+    first[1:] |= ends[1:] != ends[:-1]
     starts = np.flatnonzero(first)
     amps = np.add.reduceat(amps, starts)
-    if keys.dtype.kind == "f" and not snap:
-        keys = np.add.reduceat(keys, starts) / np.diff(np.append(starts, ends.size))[:, None]
-    else:
+    if keys.dtype.kind != "f" or not keys.size:
         keys = keys[starts]
+    elif snap:
+        keys = _snap(keys, ids, np.cumsum(new_bin) - 1, tol)[starts]
+    else:
+        keys = np.add.reduceat(keys, starts) / np.diff(np.append(starts, ends.size))[:, None]
     keep = amps != 0
     return keys[keep], ends[starts][keep], amps[keep]
 
@@ -230,7 +247,7 @@ def _class_sum(u, v0, steps: int, cap: int, inc=None, tol: float = 0.0):
     l) with amplitude v0[l]; each later slice j sends (k, l) to
     (k + inc[j, l, l'], l') with factor u[l', l]. After every slice,
     classes with equal end labels and keys merge: float keys by gap
-    clustering within tol (snapped to the cluster means after the last
+    clustering within tol (snapped to one value per bin after the last
     slice), integer keys only when exactly equal. `inc`
     broadcasts to (steps, d, d, M); None means no key (M = 0). `cap`
     bounds the candidate classes of the next slice, which equal the paths
@@ -329,39 +346,25 @@ def group_paths_by_jumps(H, decomp: SpectralDecomposition, grid: TimeGrid,
     return {n: states[n] for n in range(N)}
 
 
-def _default_nq(n: int) -> int:
-    if n <= 3:
-        return 64
-    if n <= 6:
-        return 16
-    raise QuadratureBudgetExceeded(
-        f"no default quadrature size for order {n}; pass n_q explicitly"
-    )
-
-
-def _multiset_weight(tuples: np.ndarray) -> np.ndarray:
-    # ordered tuples with repeated entries sit on simplex faces shared by
-    # several cube cells; dividing by the run-length factorials restores
-    # the simplex measure (half weight on pairwise diagonals, etc.)
-    K, n = tuples.shape
-    corr = np.ones(K)
-    run = np.ones(K)
-    for j in range(1, n):
-        same = tuples[:, j] == tuples[:, j - 1]
-        run = np.where(same, run + 1.0, 1.0)
-        corr /= np.where(same, run, 1.0)
-    return corr
-
-
-def jump_series_term(H0, V, T: float, n: int, n_q: int | None = None,
+def jump_series_term(H0, V, T: float, n: int, n_q: int = 64,
                      literal_full_h: bool = False) -> np.ndarray:
     """n-th nested time-ordered integral of the jump expansion.
 
     Term n is (-i)^n integral over 0 <= t_1 <= ... <= t_n <= T of
     exp(-i H0 (T-t_n)) V ... V exp(-i H0 t_1). The free evolution between
     jumps uses the diagonal part H0 (set literal_full_h=True to put the
-    full H0+V in the exponents instead). Evaluated by a trapezoid product
-    grid restricted to the ordered simplex; n_q points per axis.
+    full H0+V in the exponents instead). The rule is the trapezoid product
+    grid restricted to the ordered simplex, n_q nodes per axis, with a
+    1/r! weight on every run of r equal nodes (the simplex measure on the
+    faces shared by several cube cells).
+
+    In the interaction picture U(t_a - t_b) = U(t_a) U(t_b)^dag, so the
+    sum over node tuples is a recursion over (last node i, length r of the
+    last run) with A_i = w_i U(t_i)^dag V U(t_i): each order either starts
+    a run on i from the strict prefix sum over earlier nodes, or extends
+    the run on i by A_i / (r+1). Work and memory grow as n * n_q * d^2;
+    QuadratureBudgetExceeded is raised before allocating when that many
+    cells exceed MAX_QUADRATURE_CELLS.
     """
     H0 = require_hermitian(H0, "H0")
     V = np.asarray(V, dtype=complex)
@@ -372,15 +375,13 @@ def jump_series_term(H0, V, T: float, n: int, n_q: int | None = None,
     H_exp = H0 + V if literal_full_h else H0
     if n == 0:
         return exact_propagator(H_exp, T)
-    if n_q is None:
-        n_q = _default_nq(n)
     if n_q < 2:
         raise ValueError("need at least 2 quadrature points per axis")
-    n_points = comb(n_q + n - 1, n)
-    if n_points > MAX_SIMPLEX_POINTS:
+    cells = n * n_q * V.size
+    if cells > MAX_QUADRATURE_CELLS:
         raise QuadratureBudgetExceeded(
-            f"{n_points} simplex points at order {n}, n_q={n_q} "
-            f"(budget {MAX_SIMPLEX_POINTS})"
+            f"{cells} recursion cells at order {n}, n_q={n_q} "
+            f"(budget {MAX_QUADRATURE_CELLS})"
         )
 
     h = T / (n_q - 1)
@@ -389,21 +390,16 @@ def jump_series_term(H0, V, T: float, n: int, n_q: int | None = None,
     vals, vecs = np.linalg.eigh(H_exp)
     phases = np.exp(-1j * np.outer(np.arange(n_q) * h, vals))  # (n_q, d)
     props = np.einsum("ak,tk,bk->tab", vecs, phases, vecs.conj())
+    A = w[:, None, None] * (props.conj().transpose(0, 2, 1) @ V @ props)
 
-    tuples = np.fromiter(
-        itertools.chain.from_iterable(
-            itertools.combinations_with_replacement(range(n_q), n)
-        ),
-        dtype=np.int64,
-        count=n_points * n,
-    ).reshape(n_points, n)
-    wt = w[tuples].prod(axis=1) * _multiset_weight(tuples)
-
-    cur = props[tuples[:, 0]]
-    for j in range(1, n):
-        cur = np.einsum("tab,bc,tcd->tad", props[tuples[:, j] - tuples[:, j - 1]], V, cur)
-    cur = np.einsum("tab,bc,tcd->tad", props[(n_q - 1) - tuples[:, -1]], V, cur)
-    return (-1j) ** n * np.einsum("t,tab->ab", wt, cur)
+    runs = A[:, None]  # (node, run length - 1, d, d)
+    for k in range(1, n):
+        before = np.zeros_like(A)  # strict prefix sums over earlier nodes
+        np.cumsum(runs[:-1].sum(axis=1), axis=0, out=before[1:])
+        runs = np.concatenate(
+            [(A @ before)[:, None], A[:, None] @ runs / np.arange(2, k + 2)[:, None, None]],
+            axis=1)
+    return (-1j) ** n * props[-1] @ runs.sum(axis=(0, 1))
 
 
 def two_slit_weights(substates) -> np.ndarray:

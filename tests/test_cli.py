@@ -71,6 +71,25 @@ class TestRun:
         assert code == cli.EXIT_CONFIG
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, field", [
+        ({"time": {"total": -1.0, "slices": 10}}, "time.total"),
+        ({"time": {"total": float("nan"), "slices": 10}}, "time.total"),
+        ({"meters": [{"beta": {"kind": "constant", "value": 1.0},
+                      "grid": {"points": 256, "aligned": True},
+                      "kernel": {"kind": "gaussian", "width": -0.1}}]},
+         "meters[0].kernel.width"),
+        ({"mensky": {"sigma": -1.0}}, "mensky.sigma"),
+        ({"meters": [{"beta": {"kind": "constant", "value": 1.0},
+                      "grid": {"points": 256, "df": 0}}]}, "meters[0].grid.df"),
+        ({"tolerances": {"completeness": "abc"}}, "tolerances.completeness"),
+        ({"tolerances": [1e-12]}, "tolerances"),
+    ])
+    def test_bad_value_exits_2_and_names_it(self, tmp_path, capsys, override, field):
+        cfg = {**copy.deepcopy(BASE_CONFIG), **override}
+        code, _ = run_main(tmp_path, cfg)
+        assert code == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
     def test_bad_schema_version(self, tmp_path):
         cfg = copy.deepcopy(BASE_CONFIG)
         cfg["schema_version"] = 99

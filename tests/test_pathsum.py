@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,24 @@ class TestBinnedAmplitudes:
             key = tuple(np.round(row, 9))
             assert np.abs(state - oracle[key]).max() < 1e-13
 
+    def test_generic_keys_are_their_functional_values(self):
+        """Generic dim-3 system, two sampled meters: all 3^10 paths keep
+        their own bins, and each key is that path's F = W @ a[path], not the
+        mean of a column cluster that chains neighbouring bins."""
+        rng = np.random.default_rng(7)
+        H = random_hermitian(rng, 3)
+        dec = hilbert.spectral_decompose(random_hermitian(rng, 3))
+        psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
+        grid = TimeGrid(1.0, 10)
+        spec = PathFunctionalSpec(grid, tuple(
+            SwitchingFunction.sampled(rng.uniform(0.5, 1.5, size=10)) for _ in range(2)))
+        bins = pathsum.binned_measurement_amplitude(H, dec, grid, psi0, spec)
+        paths = np.indices((3,) * 10).reshape(10, -1)
+        exact = spec.weight_matrix() @ dec.eigenvalues[paths]
+        assert bins.n_bins == paths.shape[1]
+        dev = np.abs(np.sort(bins.f_values, axis=0) - np.sort(exact.T, axis=0)).max()
+        assert dev <= 1e-12 * np.abs(exact).max()
+
     def test_three_level_two_meters_brute_force(self):
         rng = np.random.default_rng(21)
         H = random_hermitian(rng, 3)
@@ -240,6 +259,27 @@ class TestRelabelByFunction:
             assert np.abs(state - oracle[round(row[0], 9)]).max() < 1e-12
 
 
+def expm(M):
+    """Matrix exponential by Taylor series with scaling and squaring."""
+    s = max(0, int(np.ceil(np.log2(max(np.abs(M).sum(axis=1).max(), 1e-300)))) + 1)
+    A = M / 2**s
+    out = term = np.eye(len(M), dtype=complex)
+    for k in range(1, 19):
+        term = term @ A / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def van_loan_terms(H, V, T, n):
+    """Terms 0..n of the time-ordered series of exp(-i(H+V)T) around H."""
+    d = len(H)
+    M = np.kron(np.eye(n + 1), -1j * H) + np.kron(np.eye(n + 1, k=1), -1j * V)
+    E = expm(T * M)
+    return [E[:d, k * d:(k + 1) * d] for k in range(n + 1)]
+
+
 class TestJumpSeries:
     def test_order_zero_is_free_propagator(self):
         H0 = np.diag([0.0, 1.0]).astype(complex)
@@ -288,12 +328,43 @@ class TestJumpSeries:
         assert np.abs(lit - hilbert.exact_propagator(H0 + V, 1.0)).max() < 1e-14
 
     def test_budget_guard(self):
+        """The recursion holds n * n_q * d^2 cells; 64 * 2^16 * 4 = 2^24 is
+        over the budget and is refused before the n_q propagators exist."""
         H0 = np.zeros((2, 2))
         V = np.eye(2)
-        with pytest.raises(QuadratureBudgetExceeded):
-            pathsum.jump_series_term(H0, V, 1.0, 7)  # no default n_q above 6
-        with pytest.raises(QuadratureBudgetExceeded):
-            pathsum.jump_series_term(H0, V, 1.0, 6, n_q=64)
+        assert pathsum.jump_series_term(H0, V, 1.0, 7).shape == (2, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureBudgetExceeded):
+                pathsum.jump_series_term(H0, V, 1.0, 64, n_q=2**16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # the propagator table alone would be 4 MiB
+
+    @pytest.mark.parametrize("literal_full_h", [False, True])
+    def test_terms_match_van_loan_exponential(self, literal_full_h):
+        """Block (0, n) of exp(T M), M block-bidiagonal with -iH on the
+        diagonal and -iV above it, is term n exactly (Van Loan 1978). The
+        product-trapezoid rule is second order: its error against the
+        oracle falls fourfold when the node spacing halves."""
+        H0 = np.diag([0.0, 1.0]).astype(complex)
+        V = np.array([[0, 0.5], [0.5, 0]], dtype=complex)
+        H = H0 + V if literal_full_h else H0
+        exact = van_loan_terms(H, V, 1.0, 10)
+        if not literal_full_h:  # the series then sums to the full propagator
+            assert np.abs(sum(exact) - hilbert.exact_propagator(H0 + V, 1.0)).max() < 1e-10
+        term = pathsum.jump_series_term(H0, V, 1.0, 0, literal_full_h=literal_full_h)
+        assert np.abs(term - exact[0]).max() < 1e-14
+        n_q = {1: 1024, 2: 256, 3: 128, 4: 64, 5: 32, 6: 16, 7: 12, 8: 8, 9: 8, 10: 6}
+        for n in range(1, 11):
+            coarse, fine = (
+                np.abs(pathsum.jump_series_term(H0, V, 1.0, n, n_q=q,
+                                                literal_full_h=literal_full_h)
+                       - exact[n]).max()
+                for q in (n_q[n], 2 * n_q[n] - 1))
+            assert coarse < 5e-7
+            assert 3.0 < coarse / fine < 4.2
 
     def test_term_norm_bound(self):
         """|term_n| <= |V|^n T^n / n!"""
