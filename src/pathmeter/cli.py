@@ -214,6 +214,9 @@ class _Experiment:
         tols = cfg.get("tolerances", {})
         if not isinstance(tols, dict):
             raise ConfigInvalid("tolerances", f"expected an object, got {tols!r}")
+        unknown = sorted(set(tols) - set(DEFAULT_TOLERANCES))
+        if unknown:
+            raise ConfigInvalid(f"tolerances.{unknown[0]}", "unknown tolerance name")
         self.tolerances = dict(DEFAULT_TOLERANCES)
         self.tolerances.update({k: _number(v, f"tolerances.{k}") for k, v in tols.items()})
 
@@ -303,13 +306,13 @@ class _Experiment:
         n_x = _integer(_need(scfg, "n_x", "system"), "system.n_x",
                        minimum=2, power_of_two=True)
         x_min = _number(_need(scfg, "x_min", "system"), "system.x_min")
-        dx = _number(_need(scfg, "dx", "system"), "system.dx")
-        mass = _number(scfg.get("mass", 1.0), "system.mass")
+        dx = _positive(_need(scfg, "dx", "system"), "system.dx")
+        mass = _positive(scfg.get("mass", 1.0), "system.mass")
         pk = _need(scfg, "packet", "system")
         self.psi_lattice = particle1d.LatticeWavefunction.gaussian(
             x_min, dx, n_x,
             _number(_need(pk, "center", "system.packet"), "system.packet.center"),
-            _number(_need(pk, "width", "system.packet"), "system.packet.width"),
+            _positive(_need(pk, "width", "system.packet"), "system.packet.width"),
             _number(pk.get("momentum", 0.0), "system.packet.momentum"),
             mass,
         )

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyRecordSet, LengthMismatch
 from .hilbert import as_state
-from .meters import LambdaGrid, _as_decomp, _lambda_states
+from .meters import LambdaGrid, _as_decomp, _lambda_states, _sliced
 from .pathsum import _slice_transfer
 from .timegrid import SwitchingFunction, TimeGrid, square_integral
 
@@ -67,13 +67,11 @@ def record_evolve(H, A, grid: TimeGrid, record: ReadoutRecord,
     decomp = _as_decomp(A)
     if record.grid != grid:
         raise DimensionMismatch("record built on a different time grid")
-    u = _slice_transfer(H, decomp, grid)
     psi = decomp.to_eigenbasis(as_state(psi0, decomp.dim))
     a = decomp.eigenvalues
     scale = grid.eps / cfg.sigma**2
-    for phi_j in record.phi:
-        psi = u @ psi
-        psi = psi * np.exp(-((phi_j - a) ** 2) * scale)
+    psi = _sliced(_slice_transfer(H, decomp, grid), psi[None, :], record.phi,
+                  lambda p: np.exp(-((p - a) ** 2) * scale))[0]
     return decomp.from_eigenbasis(psi)
 
 

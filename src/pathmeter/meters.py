@@ -149,16 +149,16 @@ def _as_grids(lgrids, n: int) -> tuple:
     return lgrids
 
 
-def _evolve_coupled(u_eig: np.ndarray, a_vals: np.ndarray, couplings: np.ndarray,
-                    psi0_eig: np.ndarray) -> np.ndarray:
-    """Batch of sliced evolutions; couplings[g, j] is the per-slice phase
-    strength c_j so slice j applies exp(-i c_j A) after exp(-i H eps)."""
-    G = couplings.shape[0]
-    states = np.broadcast_to(psi0_eig, (G, psi0_eig.size)).copy()
-    uT = u_eig.T.copy()
-    for j in range(couplings.shape[1]):
+def _sliced(u: np.ndarray, states: np.ndarray, weights, factor) -> np.ndarray:
+    """Sliced evolution of a (batch, d) stack of rows in u's basis: slice j
+    maps each row by u, then multiplies by the diagonal factor(weights[j]),
+    rebuilt only when weights[j] differs from weights[j-1]."""
+    uT, prev = u.T.copy(), None
+    for w in weights:
         states = states @ uT
-        states *= np.exp(-1j * np.outer(couplings[:, j], a_vals))
+        if prev is None or not np.array_equal(w, prev):
+            fac, prev = factor(w), w
+        states *= fac
     return states
 
 
@@ -179,8 +179,8 @@ def lambda_evolve(H, A, grid: TimeGrid, betas, lambdas, psi0) -> np.ndarray:
     u = _slice_transfer(H, decomp, grid)
     psi0_eig = decomp.to_eigenbasis(psi0)
     W = np.stack([slice_weights(b, grid) for b in betas])
-    couplings = (lambdas @ W)[None, :]
-    out = _evolve_coupled(u, decomp.eigenvalues, couplings, psi0_eig)[0]
+    out = _sliced(u, psi0_eig[None, :], W.T,
+                  lambda w: np.exp(-1j * np.outer(lambdas @ w, decomp.eigenvalues)))[0]
     return decomp.from_eigenbasis(out)
 
 
@@ -277,8 +277,8 @@ def _lambda_states(H, A, grid, betas, lgrids, psi0) -> np.ndarray:
     lam_rows = np.stack([m.reshape(-1) for m in mesh], axis=1)  # (G, M)
     u = _slice_transfer(H, decomp, grid)
     psi0_eig = decomp.to_eigenbasis(psi0)
-    couplings = lam_rows @ W
-    states = _evolve_coupled(u, decomp.eigenvalues, couplings, psi0_eig)
+    states = _sliced(u, np.tile(psi0_eig, (lam_rows.shape[0], 1)), W.T,
+                     lambda w: np.exp(-1j * np.outer(lam_rows @ w, decomp.eigenvalues)))
     states = states @ decomp.eigenvectors.T
     return states.reshape(shape + (decomp.dim,))
 

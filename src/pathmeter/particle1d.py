@@ -118,20 +118,24 @@ def _check_lattice(psi: LatticeWavefunction, arrays) -> None:
 def _split_step_batch(values: np.ndarray, kin_angle: np.ndarray,
                       base: np.ndarray, coupling: np.ndarray, F: np.ndarray,
                       symmetric: bool) -> np.ndarray:
-    """Advance a (batch, n_x) stack through all slices.
-
-    Slice j applies the kinetic step (kin_angle is the full-step phase
-    angle), then the position-diagonal factor base * exp(-i coupling[j, b]
-    F) on row b, with half kinetic steps on both sides when symmetric.
-    coupling has shape (N, batch); the phase is built one slice at a time.
-    """
+    """Advance a (batch, n_x) stack through all slices: slice j applies the
+    kinetic step (kin_angle is the full-step phase angle), then the
+    position-diagonal factor base * exp(-i coupling[j, b] F) on row b, with
+    half kinetic steps on both sides when symmetric. coupling is (N, batch);
+    the factor is rebuilt only when coupling[j] differs from coupling[j-1]."""
     kin = np.exp(-0.5j * kin_angle if symmetric else -1j * kin_angle)
-    psi = values
+    psi, prev = values, None
     for c in coupling:
-        psi = np.fft.ifft(kin * np.fft.fft(psi, axis=-1), axis=-1)
-        psi *= base * np.exp(-1j * np.outer(c, F))
+        psi = np.fft.fft(psi, axis=-1)
+        np.multiply(kin, psi, out=psi)
+        psi = np.fft.ifft(psi, axis=-1)
+        if prev is None or not np.array_equal(c, prev):
+            fac, prev = base * np.exp(-1j * np.outer(c, F)), c
+        psi *= fac
         if symmetric:
-            psi = np.fft.ifft(kin * np.fft.fft(psi, axis=-1), axis=-1)
+            psi = np.fft.fft(psi, axis=-1)
+            np.multiply(kin, psi, out=psi)
+            psi = np.fft.ifft(psi, axis=-1)
     return psi
 
 

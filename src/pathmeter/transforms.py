@@ -6,10 +6,10 @@ kernel
 
     U(df) = (dlam / 2 pi) sum_lam e^{+i lam df} U_B(lam) U_A(lam)^dag,
 
-where U_Z(lam) is the sliced evolution coupled to Z. Applying the kernel
-to the A-field by discrete convolution produces the B-field; on the
-periodic grid the construction is exactly unitary, so the round trip
-A -> B -> A is lossless up to rounding.
+where U_Z(lam) is the sliced evolution coupled to Z. Circular convolution
+of the A-field with the kernel produces the B-field; it is applied as a
+per-frequency product of FFTs. On the periodic grid the construction is
+exactly unitary, so the round trip A -> B -> A is lossless up to rounding.
 
 The instantaneous (impulse) limit collapses the kernel to the familiar
 basis-change comb, and projecting everything onto a single readout gives
@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch
 from .hilbert import SpectralDecomposition, as_state
-from .meters import AmplitudeField, LambdaGrid, _as_decomp, _check_grids, _slice_transfer
+from .meters import (AmplitudeField, LambdaGrid, _as_decomp, _check_grids, _slice_transfer,
+                     _sliced)
 from .pathsum import PATH_CAP, _class_sum
 from .timegrid import SwitchingFunction, TimeGrid, slice_weights
 
@@ -55,18 +56,13 @@ class OperatorKernel:
         return self.ops[d % self.grid.n_points]
 
     def unitarity_residual(self) -> float:
-        """Max deviation of sum_f'' U(f''-f)^dag U(f''-f') df from the
-        discrete identity delta_{ff'} / df."""
-        L = self.grid.n_points
+        """Max over every difference d of |sum_k U(k)^dag U(k+d) df -
+        delta_d0 / df|, with the autocorrelation taken by FFT."""
         df = self.grid.df
-        eye = np.eye(self.dim) / df
-        res = 0.0
-        for d in range(L):
-            rolled = np.roll(self.ops, -d, axis=0)
-            acc = np.einsum("kba,kbc->ac", self.ops.conj(), rolled) * df
-            target = eye if d == 0 else 0.0
-            res = max(res, float(np.abs(acc - target).max()))
-        return res
+        S = np.fft.fft(self.ops, axis=0)
+        acc = np.fft.ifft(np.einsum("mba,mbc->mac", S.conj(), S), axis=0) * df
+        acc[0] -= np.eye(self.dim) / df
+        return float(np.abs(acc).max())
 
 
 def finite_time_kernel(H, A, B, grid: TimeGrid, betaA: SwitchingFunction,
@@ -76,13 +72,8 @@ def finite_time_kernel(H, A, B, grid: TimeGrid, betaA: SwitchingFunction,
     decB = _as_decomp(B)
     if decA.dim != decB.dim:
         raise DimensionMismatch(f"A dim {decA.dim} vs B dim {decB.dim}")
-    wA = slice_weights(betaA, grid)[None, :]
-    wB = slice_weights(betaB, grid)[None, :]
-    _check_grids(wA, decA.eigenvalues, (lgrid,))
-    _check_grids(wB, decB.eigenvalues, (lgrid,))
-
-    uA = _coupled_propagators(H, decA, grid, wA[0], lgrid)
-    uB = _coupled_propagators(H, decB, grid, wB[0], lgrid)
+    uA = _coupled_propagators(H, decA, grid, betaA, lgrid)
+    uB = _coupled_propagators(H, decB, grid, betaB, lgrid)
     sym = np.einsum("mab,mcb->mac", uB, uA.conj())  # U_B U_A^dag per lambda
 
     # table over one period of the difference lattice:
@@ -95,23 +86,24 @@ def finite_time_kernel(H, A, B, grid: TimeGrid, betaA: SwitchingFunction,
 
 
 def _coupled_propagators(H, decomp: SpectralDecomposition, grid: TimeGrid,
-                         weights: np.ndarray, lgrid: LambdaGrid) -> np.ndarray:
-    """Full sliced propagators with coupling lam * Z, one per grid point,
-    shape (L, dim, dim), in the computational basis."""
-    u = _slice_transfer(H, decomp, grid)
+                         beta: SwitchingFunction, lgrid: LambdaGrid) -> np.ndarray:
+    """Full sliced propagators with coupling lam * beta * Z, one per grid
+    point, shape (L, dim, dim), in the computational basis; the identity
+    columns of all points evolve as one (L * dim, dim) row stack."""
+    weights = slice_weights(beta, grid)
+    _check_grids(weights[None, :], decomp.eigenvalues, (lgrid,))
     d = decomp.dim
-    lam = lgrid.lam
-    out = np.broadcast_to(np.eye(d, dtype=complex), (lam.size, d, d)).copy()
-    for j in range(grid.steps):
-        out = np.einsum("ab,mbc->mac", u, out)
-        phases = np.exp(-1j * np.outer(lam * weights[j], decomp.eigenvalues))
-        out *= phases[:, :, None]
+    lam, a = np.repeat(lgrid.lam, d), decomp.eigenvalues
+    eyes = np.tile(np.eye(d, dtype=complex), (lgrid.n_points, 1))
+    cols = _sliced(_slice_transfer(H, decomp, grid), eyes, weights,
+                   lambda w: np.exp(-1j * np.outer(lam * w, a)))
     V = decomp.eigenvectors
-    return np.einsum("ab,mbc,dc->mad", V, out, V.conj())
+    return np.einsum("ab,mcb,dc->mad", V, cols.reshape(-1, d, d), V.conj())
 
 
 def apply_kernel(kernel: OperatorKernel, field: AmplitudeField) -> AmplitudeField:
-    """Discrete convolution field_B(f) = sum_f' U(f - f') field_A(f') df'."""
+    """Circular convolution field_B(f) = sum_f' U(f - f') field_A(f') df',
+    computed as the inverse FFT of the per-frequency products."""
     if field.n_meters != 1:
         raise GridMismatch("operator kernels act on single-meter fields")
     g = field.grids[0]
@@ -119,9 +111,9 @@ def apply_kernel(kernel: OperatorKernel, field: AmplitudeField) -> AmplitudeFiel
         g.dlam, kernel.grid.dlam, rtol=1e-12
     ):
         raise GridMismatch("kernel and field live on different grids")
-    L = g.n_points
-    diff = (np.arange(L)[:, None] - np.arange(L)[None, :]) % L
-    out = np.einsum("nmab,mb->na", kernel.ops[diff], field.states) * g.df
+    prod = np.einsum("nab,nb->na", np.fft.fft(kernel.ops, axis=0),
+                     np.fft.fft(field.states, axis=0))
+    out = np.fft.ifft(prod, axis=0) * g.df
     return AmplitudeField(field.grids, out, field.kind)
 
 

@@ -1,10 +1,13 @@
 import copy
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from pathmeter import cli
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -83,9 +86,26 @@ class TestRun:
                       "grid": {"points": 256, "df": 0}}]}, "meters[0].grid.df"),
         ({"tolerances": {"completeness": "abc"}}, "tolerances.completeness"),
         ({"tolerances": [1e-12]}, "tolerances"),
+        ({"tolerances": {"completness": 1e-300}}, "tolerances.completness"),
     ])
     def test_bad_value_exits_2_and_names_it(self, tmp_path, capsys, override, field):
         cfg = {**copy.deepcopy(BASE_CONFIG), **override}
+        code, _ = run_main(tmp_path, cfg)
+        assert code == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, field", [
+        ("mass", 0.0, "system.mass"),
+        ("mass", -1.0, "system.mass"),
+        ("dx", 0.0, "system.dx"),
+        ("dx", -0.1, "system.dx"),
+        ("width", 0.0, "system.packet.width"),
+    ])
+    def test_bad_particle_value_exits_2_and_names_it(self, tmp_path, capsys,
+                                                     key, value, field):
+        cfg = json.loads((CONFIGS / "particle_dwell.json").read_text())
+        target = cfg["system"]["packet"] if key == "width" else cfg["system"]
+        target[key] = value
         code, _ = run_main(tmp_path, cfg)
         assert code == cli.EXIT_CONFIG
         assert field in capsys.readouterr().err
@@ -222,8 +242,7 @@ class TestEmit:
     @pytest.mark.parametrize("name", [
         "qubit_crosscheck", "born_instantaneous", "particle_dwell", "transform_pair"])
     def test_checked_in_fixtures_pass(self, tmp_path, name):
-        import pathlib
-        fixture = pathlib.Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+        fixture = CONFIGS / f"{name}.json"
         code = cli.main(["run", str(fixture), "--out", str(tmp_path / name)])
         assert code == cli.EXIT_PASS
 

@@ -12,6 +12,7 @@ from pathmeter.errors import (
 from pathmeter.meters import CoarseGrainKernel, LambdaGrid
 from pathmeter.timegrid import PathFunctionalSpec, SwitchingFunction, TimeGrid
 
+from conftest import random_hermitian
 from test_pathsum import brute_force_substate
 
 
@@ -343,3 +344,51 @@ class TestResolutionRescale:
         # node n of grid 2 sits at alpha * f_n: relabelling is index identity
         assert np.abs(out2.states - out1.states).max() < 1e-9
         assert out2.mass() / out1.mass() == pytest.approx(alpha, rel=1e-9)
+
+
+# meter profiles on 12 slices and the number of distinct runs of equal
+# slice weights, which is how often the factor must be built
+PROFILES = {
+    "constant": ((SwitchingFunction.constant(1.0),), 1),
+    "impulse": ((SwitchingFunction.impulse(0.5),), 3),
+    "sampled": ((SwitchingFunction.sampled(np.linspace(0.3, 1.7, 12)),), 12),
+    "piecewise": ((SwitchingFunction.sampled(np.repeat([0.3, 1.7, 0.3, 1.1], 3)),), 4),
+    "constant+impulse": ((SwitchingFunction.constant(1.0),
+                          SwitchingFunction.impulse(0.5)), 3),
+}
+
+
+def rebuild_every_slice(u, states, weights, factor):
+    """Reference sliced evolution that builds the factor on every slice."""
+    uT = u.T.copy()
+    for w in weights:
+        states = states @ uT
+        states *= factor(w)
+    return states
+
+
+class TestSlicedReuse:
+    """Reusing the factor while the slice weights repeat is bit-identical
+    to rebuilding it on every slice."""
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_lambda_phases(self, profile):
+        rng = np.random.default_rng(4)
+        H = random_hermitian(rng, 3)
+        decomp = hilbert.spectral_decompose(np.diag([1.0, 2.0, 3.5]).astype(complex))
+        grid = TimeGrid(1.0, 12)
+        betas, runs = PROFILES[profile]
+        W = np.stack([timegrid.slice_weights(b, grid) for b in betas])
+        lam_rows = rng.normal(size=(16, len(betas)))
+        a = decomp.eigenvalues
+        u = pathsum._slice_transfer(H, decomp, grid)
+        start = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
+        builds = []
+
+        def factor(w):
+            builds.append(w)
+            return np.exp(-1j * np.outer(lam_rows @ w, a))
+
+        got = meters._sliced(u, start, W.T, factor)
+        assert len(builds) == runs
+        assert np.array_equal(got, rebuild_every_slice(u, start, W.T, factor))

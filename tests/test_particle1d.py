@@ -5,7 +5,7 @@ from pathmeter import hilbert, meters, particle1d
 from pathmeter.errors import GridMismatch
 from pathmeter.meters import LambdaGrid
 from pathmeter.particle1d import CoordinateFunctional, LatticeWavefunction
-from pathmeter.timegrid import SwitchingFunction, TimeGrid
+from pathmeter.timegrid import SwitchingFunction, TimeGrid, slice_weights
 
 
 def free_packet(n_x=256, dx=1 / 8, width=1.0, center=0.0, momentum=0.0):
@@ -198,3 +198,38 @@ def test_symmetric_splitting_is_second_order():
         ref = hilbert.exact_propagator(H, 1.0) @ psi.values
         errs[N] = np.abs(out.values - ref).max()
     assert errs[64] / errs[128] == pytest.approx(4.0, rel=0.2)
+
+
+def rebuild_every_slice(values, kin_angle, base, coupling, F, symmetric):
+    """Reference split-step loop that builds the position factor on every
+    slice."""
+    kin = np.exp(-0.5j * kin_angle if symmetric else -1j * kin_angle)
+    psi = values
+    for c in coupling:
+        psi = np.fft.ifft(kin * np.fft.fft(psi, axis=-1), axis=-1)
+        psi *= base * np.exp(-1j * np.outer(c, F))
+        if symmetric:
+            psi = np.fft.ifft(kin * np.fft.fft(psi, axis=-1), axis=-1)
+    return psi
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("beta", [
+    SwitchingFunction.constant(1.0),
+    SwitchingFunction.impulse(0.5),
+    SwitchingFunction.sampled(np.linspace(0.3, 1.7, 12)),
+    SwitchingFunction.sampled(np.repeat([0.3, 1.7, 0.3, 1.1], 3)),
+], ids=["constant", "impulse", "sampled", "piecewise"])
+def test_split_step_factor_reuse_is_bit_identical(beta, symmetric):
+    """Reusing the position factor while the slice couplings repeat gives
+    the same bytes as rebuilding it on every slice."""
+    psi = free_packet(n_x=64, dx=0.25, width=1.0, momentum=0.5)
+    grid = TimeGrid(1.0, 12)
+    w = slice_weights(beta, grid)
+    kin_angle = particle1d._dispersion(psi, "spectral") * grid.eps
+    base = np.exp(-1j * 0.1 * psi.x**2 * grid.eps)
+    F = (np.abs(psi.x) < 2.0).astype(float)
+    args = (np.tile(psi.values, (8, 1)), kin_angle, base,
+            np.outer(w, np.linspace(-3.0, 3.0, 8)), F, symmetric)
+    got = particle1d._split_step_batch(*args)
+    assert np.array_equal(got, rebuild_every_slice(*args))

@@ -94,6 +94,59 @@ class TestFiniteTimeKernel:
             transforms.apply_kernel(ker, other)
 
 
+def table_apply_kernel(kernel, field):
+    """Reference convolution through the explicit (L, L, d, d) table
+    ops[(n - m) % L]."""
+    L = kernel.grid.n_points
+    diff = (np.arange(L)[:, None] - np.arange(L)[None, :]) % L
+    return np.einsum("nmab,mb->na", kernel.ops[diff], field.states) * kernel.grid.df
+
+
+def roll_unitarity_residual(kernel):
+    """Reference unitarity residual: one rolled product per difference d."""
+    df = kernel.grid.df
+    eye = np.eye(kernel.dim) / df
+    res = 0.0
+    for d in range(kernel.grid.n_points):
+        rolled = np.roll(kernel.ops, -d, axis=0)
+        acc = np.einsum("kba,kbc->ac", kernel.ops.conj(), rolled) * df
+        res = max(res, float(np.abs(acc - (eye if d == 0 else 0.0)).max()))
+    return res
+
+
+class TestKernelByFFT:
+    """The FFT routes against the literal difference-table routes, on a
+    generic dim-3 pair with sampled profiles."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(23)
+        H, A, B = (random_hermitian(rng, 3) for _ in range(3))
+        grid = TimeGrid(1.0, 16)
+        betaA = SwitchingFunction.sampled(rng.uniform(0.5, 1.5, 16))
+        betaB = SwitchingFunction.sampled(rng.uniform(0.5, 1.5, 16))
+        self.lgrid = LambdaGrid.from_df(64, 0.25)
+        self.ker = transforms.finite_time_kernel(H, A, B, grid, betaA, betaB, self.lgrid)
+        # a far-from-unitary table whose worst difference is d = +-1, not 0
+        self.skewed = transforms.OperatorKernel(
+            self.lgrid, self.ker.ops + 0.1 * np.roll(self.ker.ops, 1, axis=0))
+        states = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
+        self.field = meters.AmplitudeField((self.lgrid,), states, "fine")
+
+    @pytest.mark.parametrize("which", ["ker", "skewed"])
+    def test_apply_kernel_matches_difference_table(self, which):
+        ker = getattr(self, which)
+        ref = table_apply_kernel(ker, self.field)
+        out = transforms.apply_kernel(ker, self.field).states
+        assert np.abs(out - ref).max() < 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("which", ["ker", "skewed"])
+    def test_unitarity_residual_matches_roll_loop(self, which):
+        ker = getattr(self, which)
+        ref = roll_unitarity_residual(ker)
+        scale = max(ref, 1.0 / self.lgrid.df)
+        assert abs(ker.unitarity_residual() - ref) < 1e-12 * scale
+
+
 class TestVonNeumannBasisChange:
     def test_same_basis_identity(self, coord_a):
         dec = hilbert.spectral_decompose(coord_a)
