@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -43,13 +44,14 @@ from .meters import (
 )
 from .mensky import MenskyConfig, ReadoutRecord, record_evolve, weak_limit_check, weak_meter_array
 from .pathsum import binned_measurement_amplitude
-from .timegrid import PathFunctionalSpec, SwitchingFunction, TimeGrid
+from .timegrid import PathFunctionalSpec, SwitchingFunction, TimeGrid, square_integral
 from .transforms import apply_kernel, finite_time_kernel, von_neumann_basis_change
 from . import particle1d
 
 SCHEMA_VERSION = 1
 CSV_CELL_BYTES = 25  # longest float repr (24 characters) plus its separator
 CSV_BUFFER_MAX = 32 << 20
+CSV_CHUNK_CELLS = 8192
 ROUTES = ("paths", "lambda", "mensky", "transform", "crosscheck")
 
 EXIT_PASS = 0
@@ -79,6 +81,8 @@ class ResultBundle:
     tables: dict
     residuals: dict
     timings: dict = field(default_factory=dict)
+    format: str = "csv"  # the config's output section
+    outdir: str = "out"
 
     def passed(self) -> bool:
         return all(r["pass"] for r in self.residuals.values())
@@ -93,268 +97,274 @@ def _residual(value, tol) -> dict:
 # ---------------------------------------------------------------- config
 
 
-def _need(cfg: dict, key: str, path: str):
-    if key not in cfg:
-        raise ConfigInvalid(f"{path}.{key}", "missing required field")
-    return cfg[key]
+_REQUIRED = object()
 
 
-def _number(value, path: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigInvalid(path, f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _positive(value, path: str) -> float:
-    value = _number(value, path)
-    if not (np.isfinite(value) and value > 0):
-        raise ConfigInvalid(path, f"expected a finite number > 0, got {value!r}")
-    return value
-
-
-def _integer(value, path: str, minimum: int = 1, power_of_two: bool = False) -> int:
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigInvalid(path, f"expected an integer, got {value!r}")
-    if value < minimum or (power_of_two and value & (value - 1)):
-        kind = "a power of two" if power_of_two else "an integer"
-        raise ConfigInvalid(path, f"expected {kind} >= {minimum}, got {value}")
-    return value
-
-
-def _complex_matrix(entries, path: str) -> np.ndarray:
-    """Matrix entries: numbers, or [re, im] pairs."""
+def _real(value, path: str) -> float:
     try:
-        rows = []
-        for r, row in enumerate(entries):
-            vals = []
-            for c, v in enumerate(row):
-                if isinstance(v, (list, tuple)):
-                    vals.append(complex(v[0], v[1]))
-                else:
-                    vals.append(complex(v))
-            rows.append(vals)
-        return np.asarray(rows, dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigInvalid(path, f"not a complex matrix: {exc}") from None
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):  # not a number, or an int past float range
+        pass
+    raise ConfigInvalid(path, f"expected a finite number, got {value!r}")
 
 
-def _state_vector(entries, path: str) -> np.ndarray:
-    try:
-        out = []
-        for v in entries:
-            if isinstance(v, (list, tuple)):
-                out.append(complex(v[0], v[1]))
-            else:
-                out.append(complex(v))
-        return np.asarray(out, dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigInvalid(path, f"not a state vector: {exc}") from None
+def _complex(value, path: str) -> complex:
+    re, im = value if isinstance(value, list) and len(value) == 2 else (value, 0.0)
+    return complex(_real(re, path), _real(im, path))
 
 
-def _switching(cfg: dict, grid: TimeGrid, path: str) -> SwitchingFunction:
-    kind = _need(cfg, "kind", path)
-    if kind == "constant":
-        return SwitchingFunction.constant(_number(_need(cfg, "value", path), f"{path}.value"))
-    if kind == "impulse":
-        return SwitchingFunction.impulse(_number(_need(cfg, "t0", path), f"{path}.t0"))
-    if kind == "sampled":
-        vals = _need(cfg, "values", path)
-        if len(vals) != grid.steps:
-            raise ConfigInvalid(f"{path}.values", f"need {grid.steps} samples")
-        return SwitchingFunction.sampled([_number(v, f"{path}.values") for v in vals])
-    raise ConfigInvalid(f"{path}.kind", f"unknown switching kind {kind!r}")
+class _Node:
+    """One JSON object of the config plus its field path.
+
+    Every read checks the type, rejects non-finite numbers and raises
+    ConfigInvalid naming the full path of the field.
+    """
+
+    def __init__(self, value, path: str = ""):
+        if not isinstance(value, dict):
+            raise ConfigInvalid(path or "<root>", f"expected an object, got {value!r}")
+        self.value = value
+        self.path = path
+
+    def _at(self, key) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def _get(self, key: str, default=_REQUIRED):
+        if key not in self.value and default is _REQUIRED:
+            raise ConfigInvalid(self._at(key), "missing required field")
+        return self.value.get(key, default)
+
+    def node(self, key: str, default=_REQUIRED) -> "_Node":
+        return _Node(self._get(key, default), self._at(key))
+
+    def nodes(self, key: str) -> list:
+        items = self._get(key)
+        if not isinstance(items, list) or not items:
+            raise ConfigInvalid(self._at(key), f"expected a non-empty list, got {items!r}")
+        return [_Node(v, f"{self._at(key)}[{i}]") for i, v in enumerate(items)]
+
+    def string(self, key: str, default=_REQUIRED, choices=()) -> str:
+        value = self._get(key, default)
+        if not isinstance(value, str) or (choices and value not in choices):
+            expected = f"one of {choices}" if choices else "a string"
+            raise ConfigInvalid(self._at(key), f"expected {expected}, got {value!r}")
+        return value
+
+    def kind(self, *choices) -> str:
+        return self.string("kind", choices=choices)
+
+    def flag(self, key: str, default: bool) -> bool:
+        value = self._get(key, default)
+        if not isinstance(value, bool):
+            raise ConfigInvalid(self._at(key), f"expected true or false, got {value!r}")
+        return value
+
+    def number(self, key: str, default=_REQUIRED, positive: bool = False) -> float:
+        value = _real(self._get(key, default), self._at(key))
+        if positive and not value > 0:
+            raise ConfigInvalid(self._at(key), f"expected a finite number > 0, got {value!r}")
+        return value
+
+    def integer(self, key: str, default=_REQUIRED, minimum: int = 1,
+                power_of_two: bool = False) -> int:
+        value = self._get(key, default)
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if (not isinstance(value, int) or isinstance(value, bool) or value < minimum
+                or (power_of_two and value & (value - 1))):
+            kind = "a power of two" if power_of_two else "an integer"
+            raise ConfigInvalid(self._at(key), f"expected {kind} >= {minimum}, got {value!r}")
+        return value
+
+    def numbers(self, key: str, shape: tuple, entry=_real) -> np.ndarray:
+        """Nested lists of `shape`, each entry read by `entry`; a None in
+        `shape` stands for the length of the outermost list."""
+        def walk(value, dims, path):
+            if not dims:
+                return entry(value, path)
+            if not isinstance(value, list) or not value or len(value) != dims[0]:
+                raise ConfigInvalid(path, f"expected {dims[0]} entries, got {value!r}")
+            return [walk(v, dims[1:], f"{path}[{i}]") for i, v in enumerate(value)]
+
+        value = self._get(key)
+        n = len(value) if isinstance(value, list) and value else "a non-empty list of"
+        return np.array(walk(value, tuple(n if d is None else d for d in shape), self._at(key)))
+
+    def complex_array(self, key: str, shape: tuple) -> np.ndarray:
+        """As `numbers`, with each entry a number or an [re, im] pair."""
+        return self.numbers(key, shape, _complex)
+
+    def build(self, ctor, *args):
+        """ctor(*args); a ValueError or ArithmeticError names this node."""
+        try:
+            return ctor(*args)
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigInvalid(self.path, f"{exc} ({type(exc).__name__})") from None
 
 
-def _kernel(cfg: dict, grids, path: str) -> CoarseGrainKernel:
-    kind = _need(cfg, "kind", path)
-    if kind == "gaussian":
-        width = _positive(_need(cfg, "width", path), f"{path}.width")
-        return CoarseGrainKernel.gaussian(grids, (width,) * len(grids))
-    if kind == "shift":
-        offs = _number(_need(cfg, "offset", path), f"{path}.offset")
-        return CoarseGrainKernel.shift(grids, (offs,) * len(grids))
-    if kind == "quadratic_phase":
-        b = _number(_need(cfg, "curvature", path), f"{path}.curvature")
-        return CoarseGrainKernel.quadratic_phase(grids, (b,) * len(grids))
-    raise ConfigInvalid(f"{path}.kind", f"unknown kernel kind {kind!r}")
+_KERNELS = {
+    "gaussian": ("width", CoarseGrainKernel.gaussian),
+    "shift": ("offset", CoarseGrainKernel.shift),
+    "quadratic_phase": ("curvature", CoarseGrainKernel.quadratic_phase),
+}
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str):
+    """The parsed JSON document; `run` checks its fields."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigInvalid("<file>", f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
         raise ConfigInvalid("<file>", f"not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigInvalid("<root>", "config must be a JSON object")
-    version = cfg.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigInvalid("schema_version", f"expected {SCHEMA_VERSION}, got {version}")
-    return cfg
 
 
 class _Experiment:
-    """Validated experiment pieces shared by the routes."""
+    """Every config field, read and checked before any route runs."""
 
     def __init__(self, cfg: dict):
-        self.cfg = cfg
-        self.route = _need(cfg, "route", "<root>")
-        if self.route not in ROUTES:
-            raise ConfigInvalid("route", f"must be one of {ROUTES}")
-        self.seed = _integer(cfg.get("seed", 0), "seed", minimum=0)
-        tcfg = _need(cfg, "time", "<root>")
-        self.grid = TimeGrid(
-            _positive(_need(tcfg, "total", "time"), "time.total"),
-            _integer(_need(tcfg, "slices", "time"), "time.slices"),
-        )
-        tols = cfg.get("tolerances", {})
-        if not isinstance(tols, dict):
-            raise ConfigInvalid("tolerances", f"expected an object, got {tols!r}")
-        unknown = sorted(set(tols) - set(DEFAULT_TOLERANCES))
+        root = _Node(cfg)
+        version = cfg.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise ConfigInvalid("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
+        self.route = root.string("route", choices=ROUTES)
+        self.seed = root.integer("seed", 0, minimum=0)
+        t = root.node("time")
+        self.grid = t.build(TimeGrid, t.number("total", positive=True), t.integer("slices"))
+        tols = root.node("tolerances", {})
+        unknown = sorted(set(tols.value) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ConfigInvalid(f"tolerances.{unknown[0]}", "unknown tolerance name")
-        self.tolerances = dict(DEFAULT_TOLERANCES)
-        self.tolerances.update({k: _number(v, f"tolerances.{k}") for k, v in tols.items()})
+        self.tolerances = {**DEFAULT_TOLERANCES, **{k: tols.number(k) for k in tols.value}}
+        out = root.node("output", {})
+        self.format = out.string("format", "csv", choices=("csv", "json"))
+        self.outdir = out.string("dir", "out")
 
-        scfg = _need(cfg, "system", "<root>")
-        self.system_kind = _need(scfg, "kind", "system")
+        system = root.node("system")
+        self.system_kind = system.kind("qubit", "nlevel", "random", "particle1d")
         if self.system_kind == "particle1d":
-            self._build_particle(scfg)
+            self._read_particle(root, system)
         else:
-            self._build_finite(scfg)
+            self._read_finite(root, system)
+
+    def _switching(self, beta: _Node) -> SwitchingFunction:
+        kind = beta.kind("constant", "impulse", "sampled")
+        if kind == "constant":
+            return SwitchingFunction.constant(beta.number("value"))
+        if kind == "impulse":
+            return SwitchingFunction.impulse(beta.number("t0"))
+        return SwitchingFunction.sampled(beta.numbers("values", (self.grid.steps,)))
+
+    def _lambda_grid(self, g: _Node, beta: SwitchingFunction) -> LambdaGrid:
+        L = g.integer("points", minimum=2, power_of_two=True)
+        if self.system_kind != "particle1d" and g.flag("aligned", False):
+            return g.build(aligned_grid, beta, self.grid, self.decomp, L)
+        return g.build(LambdaGrid.from_df, L, g.number("df", positive=True))
 
     # finite-dimensional systems -----------------------------------
-    def _build_finite(self, scfg: dict) -> None:
+    def _read_finite(self, root: _Node, system: _Node) -> None:
         kind = self.system_kind
         if kind == "qubit":
-            e1 = _number(scfg.get("epsilon1", 0.0), "system.epsilon1")
-            e2 = _number(scfg.get("epsilon2", 1.0), "system.epsilon2")
-            v = _number(scfg.get("coupling", 0.5), "system.coupling")
-            self.hamiltonian = np.array([[e1, v], [v, e2]], dtype=complex)
-            obs = self.cfg.get("observable", {"kind": "coordinates"})
+            e1 = system.number("epsilon1", 0.0)
+            e2 = system.number("epsilon2", 1.0)
+            v = system.number("coupling", 0.5)
+            H = np.array([[e1, v], [v, e2]], dtype=complex)
         elif kind == "nlevel":
-            self.hamiltonian = _complex_matrix(
-                _need(scfg, "hamiltonian", "system"), "system.hamiltonian"
-            )
-            obs = _need(self.cfg, "observable", "<root>")
-        elif kind == "random":
-            dim = _integer(_need(scfg, "dim", "system"), "system.dim", minimum=2)
+            H = system.complex_array("hamiltonian", (None, None))
+        else:
+            dim = system.integer("dim", minimum=2)
             rng = np.random.default_rng(self.seed)
             M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            self.hamiltonian = (M + M.conj().T) / 2
-            obs = self.cfg.get("observable", {"kind": "coordinates"})
-        else:
-            raise ConfigInvalid("system.kind", f"unknown system {kind!r}")
-        try:
-            require_hermitian(self.hamiltonian, "system.hamiltonian")
-        except PathMeterError as exc:
-            raise ConfigInvalid("system.hamiltonian", str(exc)) from None
+            H = (M + M.conj().T) / 2
+        self.hamiltonian = require_hermitian(H, "system.hamiltonian")
+        dim = H.shape[0]
+        default_obs = _REQUIRED if kind == "nlevel" else {"kind": "coordinates"}
+        self.decomp = self._decompose(root.node("observable", default_obs), dim)
 
-        dim = self.hamiltonian.shape[0]
-        self.observable = self._observable_matrix(obs, dim, "observable")
-        self.decomp = spectral_decompose(self.observable)
-
-        psi = self.cfg.get("initial_state", "uniform")
-        if psi == "uniform":
+        if root.value.get("initial_state", "uniform") == "uniform":
             self.psi0 = np.ones(dim, dtype=complex) / np.sqrt(dim)
         else:
-            self.psi0 = _state_vector(psi, "initial_state")
-            if self.psi0.size != dim:
-                raise ConfigInvalid("initial_state", f"need {dim} amplitudes")
+            self.psi0 = root.complex_array("initial_state", (dim,))
 
-        mcfgs = _need(self.cfg, "meters", "<root>")
-        if not isinstance(mcfgs, list) or not mcfgs:
-            raise ConfigInvalid("meters", "need a non-empty list of meters")
-        self.betas, self.lgrids, self.kernels = [], [], []
-        for i, m in enumerate(mcfgs):
-            beta = _switching(_need(m, "beta", f"meters[{i}]"), self.grid, f"meters[{i}].beta")
-            self.betas.append(beta)
-            gcfg = _need(m, "grid", f"meters[{i}]")
-            L = _integer(_need(gcfg, "points", f"meters[{i}].grid"),
-                         f"meters[{i}].grid.points", minimum=2, power_of_two=True)
-            if gcfg.get("aligned", False):
-                lg = aligned_grid(beta, self.grid, self.decomp, L)
-            else:
-                df = _positive(_need(gcfg, "df", f"meters[{i}].grid"), f"meters[{i}].grid.df")
-                lg = LambdaGrid.from_df(L, df)
-            self.lgrids.append(lg)
-            self.kernels.append(m.get("kernel"))
+        meters = root.nodes("meters")
+        self.betas = [self._switching(m.node("beta")) for m in meters]
+        self.lgrids = [self._lambda_grid(m.node("grid"), b) for m, b in zip(meters, self.betas)]
+        self.kernels = [self._kernel(m.node("kernel")) if "kernel" in m.value else None
+                        for m in meters]
         self.spec = PathFunctionalSpec(self.grid, tuple(self.betas))
 
-    def _observable_matrix(self, obs, dim: int, path: str) -> np.ndarray:
-        kind = _need(obs, "kind", path)
-        if kind == "coordinates":
-            return np.diag(np.arange(1, dim + 1, dtype=float)).astype(complex)
-        if kind == "matrix":
-            M = _complex_matrix(_need(obs, "entries", path), f"{path}.entries")
-            if M.shape != (dim, dim):
-                raise ConfigInvalid(f"{path}.entries", f"need a {dim}x{dim} matrix")
-            try:
-                return require_hermitian(M, path)
-            except PathMeterError as exc:
-                raise ConfigInvalid(path, str(exc)) from None
-        raise ConfigInvalid(f"{path}.kind", f"unknown observable kind {kind!r}")
+        mensky = root.node("mensky", {})
+        self.sigma = None
+        if self.route == "mensky":
+            self.sigma = mensky.number("sigma", 1.0, positive=True)
+            self.records = self._records(mensky)
+        elif (self.route == "crosscheck" and mensky.value and len(meters) == 1
+              and self.betas[0].kind != "impulse"):  # the weak-limit bound
+            self.sigma = mensky.number("sigma", positive=True)
+            beta = meters[0].node("beta")
+            self.beta_square = beta.build(square_integral, self.betas[0], self.grid)
+        if self.route == "transform":
+            b = root.node("transform").node("observable_b")
+            self.decomp_b = self._decompose(b, dim)
+
+    def _decompose(self, obs: _Node, dim: int):
+        if obs.kind("coordinates", "matrix") == "coordinates":
+            A = np.diag(np.arange(1, dim + 1, dtype=float)).astype(complex)
+        else:
+            A = require_hermitian(obs.complex_array("entries", (dim, dim)), obs.path)
+        return spectral_decompose(A)
+
+    def _kernel(self, k: _Node) -> CoarseGrainKernel:
+        """One meter's kernel, over every meter's grid."""
+        name, ctor = _KERNELS[k.kind(*_KERNELS)]
+        value = k.number(name, positive=name == "width")
+        return k.build(ctor, tuple(self.lgrids), (value,) * len(self.lgrids))
+
+    def _records(self, mensky: _Node) -> list:
+        if isinstance(mensky.value.get("records"), list):
+            rows = mensky.numbers("records", (None, self.grid.steps))
+            return [ReadoutRecord(self.grid, row) for row in rows]
+        mensky.node("records", {"kind": "constant_eigenvalues"}).kind("constant_eigenvalues")
+        return [ReadoutRecord.constant(self.grid, float(a)) for a in self.decomp.eigenvalues]
 
     # particle systems ----------------------------------------------
-    def _build_particle(self, scfg: dict) -> None:
+    def _read_particle(self, root: _Node, system: _Node) -> None:
         if self.route != "lambda":
             raise ConfigInvalid("route", "particle1d systems support the lambda route only")
-        n_x = _integer(_need(scfg, "n_x", "system"), "system.n_x",
-                       minimum=2, power_of_two=True)
-        x_min = _number(_need(scfg, "x_min", "system"), "system.x_min")
-        dx = _positive(_need(scfg, "dx", "system"), "system.dx")
-        mass = _positive(scfg.get("mass", 1.0), "system.mass")
-        pk = _need(scfg, "packet", "system")
-        self.psi_lattice = particle1d.LatticeWavefunction.gaussian(
-            x_min, dx, n_x,
-            _number(_need(pk, "center", "system.packet"), "system.packet.center"),
-            _positive(_need(pk, "width", "system.packet"), "system.packet.width"),
-            _number(pk.get("momentum", 0.0), "system.packet.momentum"),
-            mass,
+        n_x = system.integer("n_x", minimum=2, power_of_two=True)
+        packet = system.node("packet")
+        self.psi_lattice = system.build(
+            particle1d.LatticeWavefunction.gaussian,
+            system.number("x_min"), system.number("dx", positive=True), n_x,
+            packet.number("center"), packet.number("width", positive=True),
+            packet.number("momentum", 0.0), system.number("mass", 1.0, positive=True),
         )
-        pcfg = scfg.get("potential", {"kind": "zero"})
-        pkind = _need(pcfg, "kind", "system.potential")
+        pot = system.node("potential", {"kind": "zero"})
+        kind = pot.kind("zero", "barrier", "samples")
         x = self.psi_lattice.x
-        if pkind == "zero":
+        if kind == "zero":
             self.potential = np.zeros(n_x)
-        elif pkind == "barrier":
-            lo = _number(_need(pcfg, "lo", "system.potential"), "system.potential.lo")
-            hi = _number(_need(pcfg, "hi", "system.potential"), "system.potential.hi")
-            h = _number(_need(pcfg, "height", "system.potential"), "system.potential.height")
+        elif kind == "barrier":
+            lo, hi, h = pot.number("lo"), pot.number("hi"), pot.number("height")
             self.potential = np.where((x >= lo) & (x <= hi), h, 0.0)
-        elif pkind == "samples":
-            vals = _need(pcfg, "values", "system.potential")
-            if len(vals) != n_x:
-                raise ConfigInvalid("system.potential.values", f"need {n_x} samples")
-            self.potential = np.asarray([float(v) for v in vals])
         else:
-            raise ConfigInvalid("system.potential.kind", f"unknown potential {pkind!r}")
+            self.potential = pot.numbers("values", (n_x,))
 
-        mcfgs = _need(self.cfg, "meters", "<root>")
-        if len(mcfgs) != 1:
+        meters = root.nodes("meters")
+        if len(meters) != 1:
             raise ConfigInvalid("meters", "particle1d runs use exactly one meter")
-        m = mcfgs[0]
-        beta = _switching(_need(m, "beta", "meters[0]"), self.grid, "meters[0].beta")
-        fcfg = _need(m, "functional", "meters[0]")
-        fkind = _need(fcfg, "kind", "meters[0].functional")
-        if fkind == "region":
-            lo = _number(_need(fcfg, "lo", "meters[0].functional"), "meters[0].functional.lo")
-            hi = _number(_need(fcfg, "hi", "meters[0].functional"), "meters[0].functional.hi")
-            self.functional = particle1d.CoordinateFunctional.region_indicator(
-                self.psi_lattice, lo, hi, beta)
-        elif fkind == "position":
-            self.functional = particle1d.CoordinateFunctional.position(self.psi_lattice, beta)
+        m = meters[0]
+        beta = self._switching(m.node("beta"))
+        f = m.node("functional")
+        if f.kind("region", "position") == "region":
+            self.functional = f.build(particle1d.CoordinateFunctional.region_indicator,
+                                      self.psi_lattice, f.number("lo"), f.number("hi"), beta)
         else:
-            raise ConfigInvalid("meters[0].functional.kind", f"unknown functional {fkind!r}")
-        gcfg = _need(m, "grid", "meters[0]")
-        L = _integer(_need(gcfg, "points", "meters[0].grid"), "meters[0].grid.points",
-                     minimum=2, power_of_two=True)
-        df = _positive(_need(gcfg, "df", "meters[0].grid"), "meters[0].grid.df")
-        self.lgrids = [LambdaGrid.from_df(L, df)]
+            self.functional = f.build(particle1d.CoordinateFunctional.position,
+                                      self.psi_lattice, beta)
+        self.lgrids = [self._lambda_grid(m.node("grid"), beta)]
 
 
 # ---------------------------------------------------------------- tables
@@ -420,9 +430,8 @@ def _route_lambda(exp: _Experiment, bundle: ResultBundle):
     bundle.tables["field"] = _field_table(field)
     bundle.residuals["marginal_completeness"] = _residual(res_m, tols["marginal"])
     bundle.residuals["fourier_consistency"] = _residual(res_f, tols["fourier_consistency"])
-    kcfg = exp.kernels[0] if exp.kernels else None
-    if kcfg is not None:
-        kernel = _kernel(kcfg, tuple(exp.lgrids), "meters[0].kernel")
+    kernel = exp.kernels[0]
+    if kernel is not None:
         coarse = coarse_grain(field, kernel)
         bundle.tables["coarse_field"] = _field_table(coarse)
         if kernel.normalizable:
@@ -437,29 +446,14 @@ def _route_lambda(exp: _Experiment, bundle: ResultBundle):
 
 def _route_mensky(exp: _Experiment, bundle: ResultBundle) -> None:
     tols = exp.tolerances
-    mcfg = exp.cfg.get("mensky", {})
-    sigma = _positive(mcfg.get("sigma", 1.0), "mensky.sigma")
-    cfg = MenskyConfig(sigma)
-    records = []
-    rcfg = mcfg.get("records", {"kind": "constant_eigenvalues"})
-    if isinstance(rcfg, dict):
-        if _need(rcfg, "kind", "mensky.records") != "constant_eigenvalues":
-            raise ConfigInvalid("mensky.records.kind", "unknown record set")
-        for a in exp.decomp.eigenvalues:
-            records.append(ReadoutRecord.constant(exp.grid, float(a)))
-    else:
-        for i, row in enumerate(rcfg):
-            records.append(ReadoutRecord(exp.grid, [
-                _number(v, f"mensky.records[{i}]") for v in row]))
-    if not records:
-        raise ConfigInvalid("mensky.records", "need at least one record")
+    cfg = MenskyConfig(exp.sigma)
     norm2, dev = [], 0.0
-    for rec in records:
+    for rec in exp.records:
         a = record_evolve(exp.hamiltonian, exp.decomp, exp.grid, rec, cfg, exp.psi0)
-        b = weak_meter_array(exp.hamiltonian, exp.decomp, exp.grid, sigma, exp.psi0, rec)
+        b = weak_meter_array(exp.hamiltonian, exp.decomp, exp.grid, exp.sigma, exp.psi0, rec)
         norm2.append(float(np.vdot(a, a).real))
         dev = max(dev, float(np.linalg.norm(a - b)))
-    cols = {f"phi_{j}": np.array([rec.phi[j] for rec in records])
+    cols = {f"phi_{j}": np.array([rec.phi[j] for rec in exp.records])
             for j in range(exp.grid.steps)}
     cols["norm2"] = np.array(norm2)
     bundle.tables["records"] = cols
@@ -468,19 +462,14 @@ def _route_mensky(exp: _Experiment, bundle: ResultBundle) -> None:
 
 def _route_transform(exp: _Experiment, bundle: ResultBundle) -> None:
     tols = exp.tolerances
-    tcfg = _need(exp.cfg, "transform", "<root>")
-    dim = exp.hamiltonian.shape[0]
-    B = exp._observable_matrix(
-        _need(tcfg, "observable_b", "transform"), dim, "transform.observable_b")
-    decB = spectral_decompose(B)
+    decB = exp.decomp_b
     lg = exp.lgrids[0]
     beta = exp.betas[0]
     fieldA = amplitude_field(exp.hamiltonian, exp.decomp, exp.grid, beta, lg, exp.psi0)
     fieldB = amplitude_field(exp.hamiltonian, decB, exp.grid, beta, lg, exp.psi0)
-    kerAB = finite_time_kernel(exp.hamiltonian, exp.decomp, B, exp.grid, beta, beta, lg)
-    kerBA = finite_time_kernel(exp.hamiltonian, B, exp.decomp, exp.grid, beta, beta, lg)
+    kerAB = finite_time_kernel(exp.hamiltonian, exp.decomp, decB, exp.grid, beta, beta, lg)
     viaK = apply_kernel(kerAB, fieldA)
-    back = apply_kernel(kerBA, viaK)
+    back = apply_kernel(kerAB.adjoint(), viaK)
     res_field = float(np.abs(viaK.states - fieldB.states).max())
     res_round = float(np.abs(back.states - fieldA.states).max())
     res_unit = kerAB.unitarity_residual()
@@ -488,13 +477,11 @@ def _route_transform(exp: _Experiment, bundle: ResultBundle) -> None:
     res_basis = abs(float(np.sum(np.abs(bvals) ** 2) - np.sum(
         np.abs(exp.decomp.to_eigenbasis(exp.psi0)) ** 2)))
     bundle.tables["field_b"] = _field_table(viaK)
-    for name, value, key in [
-        ("transform_field", res_field, "transform_field"),
-        ("kernel_roundtrip", res_round, "kernel_roundtrip"),
-        ("kernel_unitarity", res_unit, "kernel_unitarity"),
-        ("basis_change_norm", res_basis, "basis_change"),
-    ]:
-        bundle.residuals[name] = _residual(value, tols[key])
+    res = bundle.residuals
+    res["transform_field"] = _residual(res_field, tols["transform_field"])
+    res["kernel_roundtrip"] = _residual(res_round, tols["kernel_roundtrip"])
+    res["kernel_unitarity"] = _residual(res_unit, tols["kernel_unitarity"])
+    res["basis_change_norm"] = _residual(res_basis, tols["basis_change"])
 
 
 def _route_crosscheck(exp: _Experiment, bundle: ResultBundle) -> None:
@@ -503,15 +490,12 @@ def _route_crosscheck(exp: _Experiment, bundle: ResultBundle) -> None:
     field = _route_lambda(exp, bundle)
     res = binned_field_residual(field, binned)
     bundle.residuals["paths_vs_lambda"] = _residual(res, tols["crosscheck"])
-    mcfg = exp.cfg.get("mensky")
-    if mcfg and len(exp.betas) == 1 and exp.betas[0].kind != "impulse":
-        sigma = _positive(_need(mcfg, "sigma", "mensky"), "mensky.sigma")
+    if exp.sigma is not None:
         res_w = weak_limit_check(
             exp.hamiltonian, exp.decomp, exp.grid, exp.betas[0],
-            [sigma], exp.psi0, exp.lgrids[0])[0]
+            [exp.sigma], exp.psi0, exp.lgrids[0])[0]
         lam_max = float(np.abs(exp.lgrids[0].lam).max())
-        from .timegrid import square_integral
-        bound = 1.1 * lam_max**2 * sigma**2 * square_integral(exp.betas[0], exp.grid) / 4
+        bound = 1.1 * lam_max**2 * exp.sigma**2 * exp.beta_square / 4
         bundle.residuals["weak_limit_bound"] = _residual(res_w, bound)
 
 
@@ -528,6 +512,8 @@ def run(cfg: dict) -> ResultBundle:
         },
         tables={},
         residuals={},
+        format=exp.format,
+        outdir=exp.outdir,
     )
     route = {
         "paths": _route_paths,
@@ -544,10 +530,12 @@ def run(cfg: dict) -> ResultBundle:
 # ---------------------------------------------------------------- output
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (np.floating, float)):
-        return repr(float(x))
-    return str(x)
+def _dump_json(outdir: str, name: str, doc) -> str:
+    path = os.path.join(outdir, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
 
 
 def emit(bundle: ResultBundle, fmt: str, outdir: str) -> list:
@@ -564,42 +552,34 @@ def emit(bundle: ResultBundle, fmt: str, outdir: str) -> list:
         doc = {
             "metadata": meta,
             "tables": {
-                name: {col: [_fmt(v) for v in vals] for col, vals in table.items()}
+                name: {col: list(map(repr, vals.tolist())) for col, vals in table.items()}
                 for name, table in bundle.tables.items()
             },
             "residuals": bundle.residuals,
         }
-        path = os.path.join(outdir, "result.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return [path]
+        return [_dump_json(outdir, "result.json", doc)]
     if fmt != "csv":
         raise ConfigInvalid("output.format", f"unknown format {fmt!r}")
     for name, table in bundle.tables.items():
         path = os.path.join(outdir, f"{name}.csv")
-        cols = list(table.keys())
-        rows = len(next(iter(table.values()))) if table else 0
+        cols = list(table.values())
+        rows = len(cols[0]) if cols else 0
         # one write buffer for the whole table, sized from its shape alone
         # (a float takes at most 24 characters): the table goes out in one
         # write, and every table of a shape allocates the same block, so
         # peak memory does not depend on the values written
         size = min(CSV_BUFFER_MAX, CSV_CELL_BYTES * len(cols) * (rows + 1))
+        # rows are formatted column by column, a bounded number of cells at
+        # a time: the strings of a whole table would take tens of MB
+        step = max(1, CSV_CHUNK_CELLS // max(len(cols), 1))
         with open(path, "w", encoding="utf-8", buffering=max(size, io.DEFAULT_BUFFER_SIZE)) as fh:
-            fh.write(",".join(cols) + "\n")
-            for r in range(rows):
-                fh.write(",".join(_fmt(table[c][r]) for c in cols) + "\n")
+            fh.write(",".join(table) + "\n")
+            for lo in range(0, rows, step):
+                texts = [map(repr, col[lo:lo + step].tolist()) for col in cols]
+                fh.writelines(",".join(row) + "\n" for row in zip(*texts))
         written.append(path)
-    rpath = os.path.join(outdir, "residuals.json")
-    with open(rpath, "w", encoding="utf-8") as fh:
-        json.dump(bundle.residuals, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    written.append(rpath)
-    mpath = os.path.join(outdir, "metadata.json")
-    with open(mpath, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    written.append(mpath)
+    written.append(_dump_json(outdir, "residuals.json", bundle.residuals))
+    written.append(_dump_json(outdir, "metadata.json", meta))
     return written
 
 
@@ -614,29 +594,24 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="execute one experiment")
     runp.add_argument("config", help="JSON experiment description")
-    runp.add_argument("--out", default="out", help="output directory")
+    runp.add_argument("--out", default=None,
+                      help="output directory (default: the config's output.dir, else out)")
     runp.add_argument("--format", choices=("csv", "json"), default=None)
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        bundle = run(cfg)
-    except ConfigInvalid as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        bundle = run(load_config(args.config))
     except (CapExceeded, NyquistViolation, GridTooSmall) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except PathMeterError as exc:
+    except PathMeterError as exc:  # ConfigInvalid and every other bad-input error
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_cfg = cfg.get("output", {})
-    outdir = args.out if args.out != "out" or "dir" not in out_cfg else out_cfg["dir"]
-    fmt = args.format or out_cfg.get("format", "csv")
+    outdir = args.out or bundle.outdir
     try:
-        written = emit(bundle, fmt, outdir)
-    except OSError as exc:
+        written = emit(bundle, args.format or bundle.format, outdir)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for name, rep in sorted(bundle.residuals.items()):

@@ -48,6 +48,9 @@ class LatticeWavefunction:
             raise ValueError(f"lattice size must be a power of two, got {n}")
         if not (self.mass > 0):
             raise ValueError(f"mass must be positive, got {self.mass}")
+        # the largest kinetic energy on the lattice is about pi^2 / (mass dx^2)
+        if not self.mass * self.dx * self.dx > np.pi**2 / np.finfo(float).max:
+            raise ValueError(f"kinetic energy overflows at mass {self.mass}, dx {self.dx}")
         if not np.all(np.isfinite(values)):
             raise ValueError("wavefunction has non-finite values")
 

@@ -55,6 +55,13 @@ class OperatorKernel:
     def at_difference(self, d: int) -> np.ndarray:
         return self.ops[d % self.grid.n_points]
 
+    def adjoint(self) -> "OperatorKernel":
+        """The reverse kernel, ops[d] -> ops[-d]^dag: built from A -> B, it
+        is the B -> A kernel, since U_A U_B^dag is the adjoint of U_B U_A^dag
+        at every lambda."""
+        L = self.grid.n_points
+        return OperatorKernel(self.grid, self.ops[-np.arange(L) % L].conj().transpose(0, 2, 1))
+
     def unitarity_residual(self) -> float:
         """Max over every difference d of |sum_k U(k)^dag U(k+d) df -
         delta_d0 / df|, with the autocorrelation taken by FFT."""

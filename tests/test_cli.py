@@ -1,13 +1,19 @@
+import contextlib
 import copy
+import io
 import json
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pathmeter import cli
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+NAN, INF = float("nan"), float("inf")
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -26,12 +32,19 @@ BASE_CONFIG = {
     ],
     "mensky": {"sigma": 0.001},
 }
+METER = BASE_CONFIG["meters"][0]
 
 
 def write_config(tmp_path, cfg, name="exp.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def set_at(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
 
 
 def run_main(tmp_path, cfg, *extra):
@@ -87,28 +100,72 @@ class TestRun:
         ({"tolerances": {"completeness": "abc"}}, "tolerances.completeness"),
         ({"tolerances": [1e-12]}, "tolerances"),
         ({"tolerances": {"completness": 1e-300}}, "tolerances.completness"),
+        ({"time": 5}, "time"),
+        ({"meters": [3]}, "meters[0]"),
+        ({"meters": [{**METER, "grid": 7}]}, "meters[0].grid"),
+        ({"mensky": 5}, "mensky"),
+        ({"meters": [{**METER, "beta": {"kind": "sampled", "values": 3}}]},
+         "meters[0].beta.values"),
+        ({"initial_state": [NAN, 0.0]}, "initial_state"),
+        ({"meters": [{**METER, "grid": {"points": 256, "aligned": "yes"}}]},
+         "meters[0].grid.aligned"),
+        ({"tolerances": {"crosscheck": NAN}}, "tolerances.crosscheck"),
+        ({"output": "csv"}, "output"),
+        ({"output": {"format": "xml"}}, "output.format"),
+        ({"output": {"dir": 5}}, "output.dir"),
+        ({"route": "transform", "transform": 3}, "transform"),
+        ({"route": "transform", "transform": {"observable_b": {
+            "kind": "matrix", "entries": [[0.0, 1.0], [1.0]]}}},
+         "transform.observable_b.entries"),
+        # values that pass the field checks but that a constructor rejects
+        ({"meters": [{**METER, "grid": {"points": 256, "df": 1e-320}}]}, "meters[0].grid"),
+        ({"time": {"total": 1e-320, "slices": 10}}, "meters[0].grid"),
+        ({"meters": [{**METER, "beta": {"kind": "constant", "value": 1e300}}]},
+         "meters[0].beta"),
     ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_bad_value_exits_2_and_names_it(self, tmp_path, capsys, override, field):
         cfg = {**copy.deepcopy(BASE_CONFIG), **override}
         code, _ = run_main(tmp_path, cfg)
         assert code == cli.EXIT_CONFIG
         assert field in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value, field", [
-        ("mass", 0.0, "system.mass"),
-        ("mass", -1.0, "system.mass"),
-        ("dx", 0.0, "system.dx"),
-        ("dx", -0.1, "system.dx"),
-        ("width", 0.0, "system.packet.width"),
-    ])
+    @pytest.mark.parametrize("path, value, field", [
+        (("system", "mass"), 0.0, "system.mass"),
+        (("system", "mass"), -1.0, "system.mass"),
+        (("system", "dx"), 0.0, "system.dx"),
+        (("system", "dx"), -0.1, "system.dx"),
+        (("system", "packet", "width"), 0.0, "system.packet.width"),
+        (("system", "potential"), {"kind": "samples", "values": ["a"] * 256},
+         "system.potential.values"),
+        (("system", "potential"), {"kind": "barrier", "lo": 4.0, "hi": 4.5, "height": NAN},
+         "system.potential.height"),
+        (("system", "x_min"), NAN, "system.x_min"),
+        (("system", "packet", "center"), INF, "system.packet.center"),
+        (("system", "packet", "momentum"), NAN, "system.packet.momentum"),
+        (("meters", 0, "functional", "lo"), NAN, "meters[0].functional.lo"),
+        (("meters",), 3, "meters"),
+        # values that pass the field checks but that the lattice rejects
+        (("system", "dx"), 1e-300, "system"),
+        (("system", "packet", "width"), 1e-300, "system"),
+        (("system", "mass"), 1e-320, "system"),
+    ], ids=lambda v: v[-1] if isinstance(v, tuple) else None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_bad_particle_value_exits_2_and_names_it(self, tmp_path, capsys,
-                                                     key, value, field):
+                                                     path, value, field):
         cfg = json.loads((CONFIGS / "particle_dwell.json").read_text())
-        target = cfg["system"]["packet"] if key == "width" else cfg["system"]
-        target[key] = value
+        set_at(cfg, path, value)
         code, _ = run_main(tmp_path, cfg)
         assert code == cli.EXIT_CONFIG
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 100000],
+                             ids=["not_utf8", "deep_nesting"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert "<file>" in capsys.readouterr().err
 
     def test_bad_schema_version(self, tmp_path):
         cfg = copy.deepcopy(BASE_CONFIG)
@@ -223,9 +280,20 @@ class TestEmit:
         whole = cli.emit(bundle, "csv", str(tmp_path / "whole"))
         monkeypatch.setattr(cli, "CSV_BUFFER_MAX", 1)  # default-size buffer, many flushes
         pieces = cli.emit(bundle, "csv", str(tmp_path / "pieces"))
+        monkeypatch.setattr(cli, "CSV_CHUNK_CELLS", 1)  # one row formatted at a time
+        rows = cli.emit(bundle, "csv", str(tmp_path / "rows"))
         assert (tmp_path / "whole" / "field.csv").stat().st_size > 2 * 8192
-        for a, b in zip(whole, pieces):
-            assert open(a, "rb").read() == open(b, "rb").read(), a
+        for a, b, c in zip(whole, pieces, rows):
+            assert open(a, "rb").read() == open(b, "rb").read() == open(c, "rb").read(), a
+
+    def test_out_flag_overrides_output_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, {**BASE_CONFIG, "output": {"dir": "from_config"}})
+        assert cli.main(["run", path, "--out", "out"]) == cli.EXIT_PASS
+        assert (tmp_path / "out" / "residuals.json").exists()
+        assert not (tmp_path / "from_config").exists()
+        assert cli.main(["run", path]) == cli.EXIT_PASS
+        assert (tmp_path / "from_config" / "residuals.json").exists()
 
     def test_json_format(self, tmp_path):
         code, out = run_main(tmp_path, BASE_CONFIG, "--format", "json")
@@ -260,3 +328,44 @@ class TestEmit:
         }
         code, out = run_main(tmp_path, cfg)
         assert code == cli.EXIT_PASS
+
+
+# Size fields never take a value above 64 here: oversized runs are not yet
+# refused before they allocate.
+SIZE_KEYS = {"slices", "points", "n_x", "dim"}
+SIZES = st.integers(-64, 64) | st.floats(-64.0, 64.0)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-64, 64) | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text("xyz", max_size=2), inner, max_size=2)),
+    max_leaves=5,
+)
+FIXTURES = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))}
+
+
+def value_paths(doc, prefix=()):
+    """The path of every value inside a JSON document."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield prefix + (key,)
+            yield from value_paths(value, prefix + (key,))
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(derandomize=True, max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_fixture_edit_keeps_the_exit_code_contract(data):
+    """One value of a fixture replaced by any JSON value: no exception
+    escapes, the exit code is 0-3, and 1 comes with a FAIL line."""
+    cfg = copy.deepcopy(FIXTURES[data.draw(st.sampled_from(sorted(FIXTURES)))])
+    path = data.draw(st.sampled_from(list(value_paths(cfg))))
+    set_at(cfg, path, data.draw(SIZES if path[-1] in SIZE_KEYS else JSON_VALUES))
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = pathlib.Path(tmp) / "exp.json"
+        config.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["run", str(config), "--out", str(pathlib.Path(tmp) / "out")])
+    assert code in (0, 1, 2, 3)
+    assert code != 1 or "FAIL" in out.getvalue()

@@ -120,12 +120,13 @@ class TestKernelByFFT:
 
     def setup_method(self):
         rng = np.random.default_rng(23)
-        H, A, B = (random_hermitian(rng, 3) for _ in range(3))
-        grid = TimeGrid(1.0, 16)
-        betaA = SwitchingFunction.sampled(rng.uniform(0.5, 1.5, 16))
-        betaB = SwitchingFunction.sampled(rng.uniform(0.5, 1.5, 16))
+        self.H, self.A, self.B = (random_hermitian(rng, 3) for _ in range(3))
+        self.grid = TimeGrid(1.0, 16)
+        self.betaA = SwitchingFunction.sampled(rng.uniform(0.5, 1.5, 16))
+        self.betaB = SwitchingFunction.sampled(rng.uniform(0.5, 1.5, 16))
         self.lgrid = LambdaGrid.from_df(64, 0.25)
-        self.ker = transforms.finite_time_kernel(H, A, B, grid, betaA, betaB, self.lgrid)
+        self.ker = transforms.finite_time_kernel(
+            self.H, self.A, self.B, self.grid, self.betaA, self.betaB, self.lgrid)
         # a far-from-unitary table whose worst difference is d = +-1, not 0
         self.skewed = transforms.OperatorKernel(
             self.lgrid, self.ker.ops + 0.1 * np.roll(self.ker.ops, 1, axis=0))
@@ -145,6 +146,22 @@ class TestKernelByFFT:
         ref = roll_unitarity_residual(ker)
         scale = max(ref, 1.0 / self.lgrid.df)
         assert abs(ker.unitarity_residual() - ref) < 1e-12 * scale
+
+    def test_adjoint_is_the_reverse_kernel(self):
+        """ops[-d]^dag equals the B -> A kernel built from scratch; the round
+        trip through the adjoint restores a field only if the kernel is
+        unitary, so it still checks something."""
+        rev = transforms.finite_time_kernel(
+            self.H, self.B, self.A, self.grid, self.betaB, self.betaA, self.lgrid)
+        assert np.abs(self.ker.adjoint().ops - rev.ops).max() < 1e-12 * np.abs(rev.ops).max()
+
+        def round_trip(ker):
+            there = transforms.apply_kernel(ker, self.field)
+            return transforms.apply_kernel(ker.adjoint(), there).states
+
+        scale = np.abs(self.field.states).max()
+        assert np.abs(round_trip(self.ker) - self.field.states).max() < 1e-10 * scale
+        assert np.abs(round_trip(self.skewed) - self.field.states).max() > 0.05 * scale
 
 
 class TestVonNeumannBasisChange:
