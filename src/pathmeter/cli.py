@@ -254,7 +254,10 @@ class _Experiment:
         if kind == "constant":
             return SwitchingFunction.constant(beta.number("value"))
         if kind == "impulse":
-            return SwitchingFunction.impulse(beta.number("t0"))
+            t0 = beta.number("t0")
+            if not 0.0 <= t0 <= self.grid.total_time:
+                raise ConfigInvalid(beta._at("t0"), f"outside [0, {self.grid.total_time}]")
+            return SwitchingFunction.impulse(t0)
         return SwitchingFunction.sampled(beta.numbers("values", (self.grid.steps,)))
 
     def _lambda_grid(self, g: _Node, beta: SwitchingFunction) -> LambdaGrid:
@@ -291,8 +294,11 @@ class _Experiment:
         meters = root.nodes("meters")
         self.betas = [self._switching(m.node("beta")) for m in meters]
         self.lgrids = [self._lambda_grid(m.node("grid"), b) for m, b in zip(meters, self.betas)]
-        self.kernels = [self._kernel(m.node("kernel")) if "kernel" in m.value else None
-                        for m in meters]
+        for m in meters[1:]:
+            if "kernel" in m.value:
+                raise ConfigInvalid(m._at("kernel"), "meters[0]'s kernel acts on every meter")
+        first = meters[0]
+        self.kernel = self._kernel(first.node("kernel")) if "kernel" in first.value else None
         self.spec = PathFunctionalSpec(self.grid, tuple(self.betas))
 
         mensky = root.node("mensky", {})
@@ -306,6 +312,8 @@ class _Experiment:
             beta = meters[0].node("beta")
             self.beta_square = beta.build(square_integral, self.betas[0], self.grid)
         if self.route == "transform":
+            if len(meters) != 1:
+                raise ConfigInvalid("meters", "transform runs use exactly one meter")
             b = root.node("transform").node("observable_b")
             self.decomp_b = self._decompose(b, dim)
 
@@ -430,7 +438,7 @@ def _route_lambda(exp: _Experiment, bundle: ResultBundle):
     bundle.tables["field"] = _field_table(field)
     bundle.residuals["marginal_completeness"] = _residual(res_m, tols["marginal"])
     bundle.residuals["fourier_consistency"] = _residual(res_f, tols["fourier_consistency"])
-    kernel = exp.kernels[0]
+    kernel = exp.kernel
     if kernel is not None:
         coarse = coarse_grain(field, kernel)
         bundle.tables["coarse_field"] = _field_table(coarse)

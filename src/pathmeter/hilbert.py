@@ -70,11 +70,6 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.size
 
-    def min_gap(self) -> float:
-        if self.dim < 2:
-            return np.inf
-        return float(np.diff(self.eigenvalues).min())
-
     def projector(self, k: int) -> np.ndarray:
         v = self.eigenvectors[:, k]
         return np.outer(v, v.conj())
@@ -84,20 +79,6 @@ class SpectralDecomposition:
 
     def from_eigenbasis(self, psi) -> np.ndarray:
         return self.eigenvectors @ as_state(psi, self.dim)
-
-    def rotate_operator(self, M) -> np.ndarray:
-        """Matrix of M in this eigenbasis: V^dag M V."""
-        M = np.asarray(M, dtype=complex)
-        if M.shape != (self.dim, self.dim):
-            raise DimensionMismatch(
-                f"operator shape {M.shape} does not match dim {self.dim}"
-            )
-        return self.eigenvectors.conj().T @ M @ self.eigenvectors
-
-    def propagator(self, t: float) -> np.ndarray:
-        """exp(-i * operator * t) assembled from the eigen-system."""
-        phases = np.exp(-1j * self.eigenvalues * t)
-        return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
 
     def reconstruct(self) -> np.ndarray:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
@@ -116,11 +97,11 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def spectral_decompose(A, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralDecomposition:
+def spectral_decompose(A) -> SpectralDecomposition:
     """Eigen-decompose a Hermitian operator with a fixed phase convention.
 
     Issues a DegenerateSpectrumWarning (and sets the `degenerate` flag)
-    when an eigenvalue gap falls below degeneracy_tol scaled by the
+    when an eigenvalue gap falls below DEGENERACY_TOL scaled by the
     spectral radius. Degenerate operators cannot label eigenpaths but may
     still be exponentiated.
     """
@@ -131,7 +112,7 @@ def spectral_decompose(A, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralDec
     degenerate = False
     if vals.size > 1:
         gap = float(np.diff(vals).min())
-        if gap <= degeneracy_tol * max(radius, 1e-300):
+        if gap <= DEGENERACY_TOL * max(radius, 1e-300):
             degenerate = True
             warnings.warn(
                 f"eigenvalue gap {gap:.3e} below tolerance; spectrum treated as degenerate",

@@ -78,11 +78,11 @@ class LambdaGrid:
     def f(self) -> np.ndarray:
         return (np.arange(self.n_points) - self.n_points // 2) * self.df
 
-    def f_index(self, f: float, tol_bins: float = 1e-6) -> int:
+    def f_index(self, f: float) -> int:
         """Grid index of readout value f; raises if off-grid."""
         x = f / self.df + self.n_points // 2
         n = int(np.round(x))
-        if abs(x - n) > tol_bins or not (0 <= n < self.n_points):
+        if abs(x - n) > 1e-6 or not (0 <= n < self.n_points):
             raise GridTooSmall(f"readout value {f} not on the grid")
         return n
 
@@ -162,6 +162,29 @@ def _sliced(u: np.ndarray, states: np.ndarray, weights, factor) -> np.ndarray:
     return states
 
 
+def _coupled(H, decomp: SpectralDecomposition, grid: TimeGrid, W: np.ndarray,
+             lam_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Sliced evolution of a (batch, d) stack of eigenbasis rows, row b
+    coupled to the history lam_rows[b] @ W: each slice j applies
+    exp(-i H eps), then exp(-i (lam_rows[b] @ W[:, j]) A)."""
+    return _sliced(_slice_transfer(H, decomp, grid), rows, W.T,
+                   lambda w: np.exp(-1j * np.outer(lam_rows @ w, decomp.eigenvalues)))
+
+
+def _to_readout(values: np.ndarray, grids) -> np.ndarray:
+    """Lambda samples to readout field: per axis, centred inverse DFT x dlam/2pi."""
+    for i, g in enumerate(grids):
+        values = centered_idft(values, axis=i) * (g.dlam / (2 * np.pi))
+    return values
+
+
+def _to_lambda(values: np.ndarray, grids) -> np.ndarray:
+    """Readout field to lambda samples (inverse of _to_readout): centred DFT x df."""
+    for i, g in enumerate(grids):
+        values = centered_dft(values, axis=i) * g.df
+    return values
+
+
 def lambda_evolve(H, A, grid: TimeGrid, betas, lambdas, psi0) -> np.ndarray:
     """Evolution with meter couplings folded in per slice.
 
@@ -176,11 +199,9 @@ def lambda_evolve(H, A, grid: TimeGrid, betas, lambdas, psi0) -> np.ndarray:
             f"{lambdas.size} lambda values for {len(betas)} meters"
         )
     decomp = _as_decomp(A)
-    u = _slice_transfer(H, decomp, grid)
-    psi0_eig = decomp.to_eigenbasis(psi0)
     W = np.stack([slice_weights(b, grid) for b in betas])
-    out = _sliced(u, psi0_eig[None, :], W.T,
-                  lambda w: np.exp(-1j * np.outer(lambdas @ w, decomp.eigenvalues)))[0]
+    out = _coupled(H, decomp, grid, W, lambdas[None, :],
+                   decomp.to_eigenbasis(psi0)[None, :])[0]
     return decomp.from_eigenbasis(out)
 
 
@@ -275,10 +296,8 @@ def _lambda_states(H, A, grid, betas, lgrids, psi0) -> np.ndarray:
         raise GridTooSmall(f"lambda product grid of {np.prod(shape)} points is too large")
     mesh = np.meshgrid(*[g.lam for g in lgrids], indexing="ij")
     lam_rows = np.stack([m.reshape(-1) for m in mesh], axis=1)  # (G, M)
-    u = _slice_transfer(H, decomp, grid)
     psi0_eig = decomp.to_eigenbasis(psi0)
-    states = _sliced(u, np.tile(psi0_eig, (lam_rows.shape[0], 1)), W.T,
-                     lambda w: np.exp(-1j * np.outer(lam_rows @ w, decomp.eigenvalues)))
+    states = _coupled(H, decomp, grid, W, lam_rows, np.tile(psi0_eig, (lam_rows.shape[0], 1)))
     states = states @ decomp.eigenvectors.T
     return states.reshape(shape + (decomp.dim,))
 
@@ -296,9 +315,7 @@ def amplitude_field(H, A, grid: TimeGrid, betas, lgrids, psi0) -> AmplitudeField
     W = np.stack([slice_weights(b, grid) for b in betas])
     _check_grids(W, decomp.eigenvalues, lgrids)
     states = _lambda_states(H, decomp, grid, betas, lgrids, psi0)
-    for i, g in enumerate(lgrids):
-        states = centered_idft(states, axis=i) * (g.dlam / (2 * np.pi))
-    return AmplitudeField(lgrids, states, kind="fine")
+    return AmplitudeField(lgrids, _to_readout(states, lgrids), kind="fine")
 
 
 @dataclass(frozen=True)
@@ -365,10 +382,7 @@ class CoarseGrainKernel:
             elif self.kind == "quadratic_phase":
                 axes.append(np.exp(-1j * self.params[i] * lam**2))
         if self.kind == "custom":
-            sym = self.samples
-            for i, g in enumerate(self.grids):
-                sym = centered_dft(sym, axis=i) * g.df
-            return sym
+            return _to_lambda(self.samples, self.grids)
         out = axes[0]
         for ax in axes[1:]:
             out = np.multiply.outer(out, ax)
@@ -417,13 +431,9 @@ def coarse_grain(field: AmplitudeField, kernel: CoarseGrainKernel) -> AmplitudeF
     """
     if not _same_grids(field.grids, kernel.grids):
         raise GridMismatch("kernel and field live on different grids")
-    states = field.states
-    for i, g in enumerate(field.grids):
-        states = centered_dft(states, axis=i) * g.df
     sym = kernel.symbol()
-    states = states * sym.reshape(sym.shape + (1,))
-    for i, g in enumerate(field.grids):
-        states = centered_idft(states, axis=i) * (g.dlam / (2 * np.pi))
+    states = _to_lambda(field.states, field.grids) * sym.reshape(sym.shape + (1,))
+    states = _to_readout(states, field.grids)
     kind = "coarse" if kernel.normalizable else field.kind
     return AmplitudeField(field.grids, states, kind)
 
@@ -470,9 +480,7 @@ def fourier_consistency_check(field: AmplitudeField, H, A, grid: TimeGrid,
         raise ValueError("consistency check is defined for fine fields")
     betas = _as_betas(betas)
     decomp = _as_decomp(A)
-    lam_states = field.states
-    for i, g in enumerate(field.grids):
-        lam_states = centered_dft(lam_states, axis=i) * g.df
+    lam_states = _to_lambda(field.states, field.grids)
     u = _slice_transfer(H, decomp, grid)
     psi0_eig = decomp.to_eigenbasis(field.marginal())
     for _ in range(grid.steps):

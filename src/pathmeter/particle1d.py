@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch
-from .fourier import centered_idft
-from .meters import AmplitudeField, LambdaGrid, _check_grids
+from .meters import AmplitudeField, LambdaGrid, _check_grids, _to_readout
 from .pathsum import PATH_CAP, BinnedAmplitudes, _class_sum, _functional_inc
-from .timegrid import SwitchingFunction, TimeGrid, slice_weights
+from .timegrid import BIN_TOL_FACTOR, SwitchingFunction, TimeGrid, slice_weights
 
 
 @dataclass(frozen=True)
@@ -176,14 +175,13 @@ def coordinate_amplitude_field(psi0: LatticeWavefunction, V, grid: TimeGrid,
     base = np.exp(-1j * V * grid.eps)
     states = _split_step_batch(np.tile(psi0.values, (lgrid.lam.size, 1)), kin_angle,
                                base, np.outer(w, lgrid.lam), cf.values, symmetric)
-    field = centered_idft(states, axis=0) * (lgrid.dlam / (2 * np.pi))
-    return AmplitudeField((lgrid,), field, kind="fine")
+    return AmplitudeField((lgrid,), _to_readout(states, (lgrid,)), kind="fine")
 
 
-def boundary_mass(psi: LatticeWavefunction, cells: int = 4) -> float:
-    """Probability mass in the outermost cells (periodic-wrap check)."""
+def boundary_mass(psi: LatticeWavefunction) -> float:
+    """Probability mass in the 4 outermost cells per side (periodic-wrap check)."""
     p = np.abs(psi.values) ** 2 * psi.dx
-    return float(p[:cells].sum() + p[-cells:].sum())
+    return float(p[:4].sum() + p[-4:].sum())
 
 
 def dense_lattice_hamiltonian(psi: LatticeWavefunction, V) -> np.ndarray:
@@ -234,16 +232,14 @@ def tiny_lattice_feynman_sum(psi0: LatticeWavefunction, V, grid: TimeGrid,
 
 def tiny_lattice_feynman_bins(psi0: LatticeWavefunction, V, grid: TimeGrid,
                               cf: CoordinateFunctional, cap: int = PATH_CAP,
-                              split_kinetic: bool = False,
-                              bin_tol: float | None = None) -> BinnedAmplitudes:
+                              split_kinetic: bool = False) -> BinnedAmplitudes:
     """Position histories grouped by their coordinate functional."""
     V = np.asarray(V, dtype=float)
     _check_lattice(psi0, [("potential", V), ("functional", cf.values)])
     u = _dense_slice_operator(psi0, V, grid, split_kinetic)
     w = slice_weights(cf.beta, grid)
-    if bin_tol is None:
-        scale = max(1.0, float(np.abs(cf.values).max()))
-        bin_tol = 1e-6 * float(np.abs(w).max()) * scale
+    scale = max(1.0, float(np.abs(cf.values).max()))
+    bin_tol = BIN_TOL_FACTOR * float(np.abs(w).max()) * scale
     keys, states = _class_sum(u, u @ psi0.values, grid.steps, cap,
                               _functional_inc(w, cf.values), bin_tol)
     return BinnedAmplitudes(keys, states, bin_tol)

@@ -285,8 +285,7 @@ def _functional_inc(weights, values) -> np.ndarray:
 def binned_measurement_amplitude(H, decomp: SpectralDecomposition,
                                  grid: TimeGrid, psi0,
                                  spec: PathFunctionalSpec,
-                                 cap: int = PATH_CAP,
-                                 bin_tol: float | None = None) -> BinnedAmplitudes:
+                                 cap: int = PATH_CAP) -> BinnedAmplitudes:
     """Group path substates by their meter-functional values.
 
     Bin keys are the quantised values F_i = sum_j w_ij a(t_j); the bins
@@ -296,7 +295,7 @@ def binned_measurement_amplitude(H, decomp: SpectralDecomposition,
     _require_labeling(decomp)
     if spec.grid != grid:
         raise DimensionMismatch("functional spec built on a different time grid")
-    tol = spec.bin_tol() if bin_tol is None else bin_tol
+    tol = spec.bin_tol()
     u = _slice_transfer(H, decomp, grid)
     keys, states = _class_sum(
         u, u @ decomp.to_eigenbasis(psi0), grid.steps, cap,
@@ -306,8 +305,7 @@ def binned_measurement_amplitude(H, decomp: SpectralDecomposition,
 
 def relabel_by_function(H, decomp: SpectralDecomposition, grid: TimeGrid,
                         psi0, spec: PathFunctionalSpec, eigenvalue_map,
-                        cap: int = PATH_CAP,
-                        bin_tol: float | None = None) -> BinnedAmplitudes:
+                        cap: int = PATH_CAP) -> BinnedAmplitudes:
     """Restricted sum for a function of the observable.
 
     `eigenvalue_map` maps each eigenvalue a_k to the measured value
@@ -321,9 +319,7 @@ def relabel_by_function(H, decomp: SpectralDecomposition, grid: TimeGrid,
     if spec.grid != grid:
         raise DimensionMismatch("functional spec built on a different time grid")
     mapped = np.asarray([eigenvalue_map(a) for a in decomp.eigenvalues], dtype=float)
-    if bin_tol is None:
-        scale = max(1.0, float(np.abs(mapped).max()))
-        bin_tol = spec.bin_tol() * scale
+    bin_tol = spec.bin_tol() * max(1.0, float(np.abs(mapped).max()))
     u = _slice_transfer(H, decomp, grid)
     keys, states = _class_sum(
         u, u @ decomp.to_eigenbasis(psi0), grid.steps, cap,

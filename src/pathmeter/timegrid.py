@@ -38,8 +38,9 @@ class TimeGrid:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"slice count must be >= 1, got {self.steps}")
-        if not (self.total_time > 0 and np.isfinite(self.total_time)):
-            raise ValueError(f"total time must be positive, got {self.total_time}")
+        # a subnormal slice width loses precision and overflows 1/eps
+        if not (self.eps >= np.finfo(float).tiny and np.isfinite(self.total_time)):
+            raise ValueError(f"total time must give a normal slice width, got {self.total_time}")
 
     @property
     def eps(self) -> float:

@@ -1,15 +1,16 @@
 """Transformations between readout histories of two observables.
 
 Two finite-time measurements of observables A and B (one meter each, a
-shared conjugate grid) are connected by the operator-valued convolution
-kernel
+shared conjugate grid) are connected by the operator-valued symbol
+S(lam) = U_B(lam) U_A(lam)^dag, where U_Z(lam) is the sliced evolution
+coupled to Z. Its readout transform is the convolution kernel
 
-    U(df) = (dlam / 2 pi) sum_lam e^{+i lam df} U_B(lam) U_A(lam)^dag,
+    U(df) = (dlam / 2 pi) sum_lam e^{+i lam df} S(lam),
 
-where U_Z(lam) is the sliced evolution coupled to Z. Circular convolution
-of the A-field with the kernel produces the B-field; it is applied as a
-per-frequency product of FFTs. On the periodic grid the construction is
-exactly unitary, so the round trip A -> B -> A is lossless up to rounding.
+and circular convolution of the A-field with it, a per-lambda product
+between the pointer route's transforms, produces the B-field. On the
+periodic grid the construction is exactly unitary, so the round trip
+A -> B -> A is lossless up to rounding.
 
 The instantaneous (impulse) limit collapses the kernel to the familiar
 basis-change comb, and projecting everything onto a single readout gives
@@ -24,8 +25,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch
 from .hilbert import SpectralDecomposition, as_state
-from .meters import (AmplitudeField, LambdaGrid, _as_decomp, _check_grids, _slice_transfer,
-                     _sliced)
+from .meters import (AmplitudeField, LambdaGrid, _as_decomp, _check_grids, _coupled,
+                     _same_grids, _slice_transfer, _to_lambda, _to_readout)
 from .pathsum import PATH_CAP, _class_sum
 from .timegrid import SwitchingFunction, TimeGrid, slice_weights
 
@@ -34,42 +35,42 @@ KERNEL_TOL = 1e-6
 
 @dataclass(frozen=True)
 class OperatorKernel:
-    """Operator samples on the readout difference lattice.
+    """A transform kernel held as its lambda-space symbol.
 
-    ops[d] is U(d * df); the sampled function is periodic with period
-    L * df, so one period determines every difference.
+    symbol[m] is the operator S(lam_m), shape (L, dim, dim); the readout
+    kernel U(d * df) is its transform, periodic with period L * df.
     """
 
     grid: LambdaGrid
-    ops: np.ndarray
+    symbol: np.ndarray
 
     def __post_init__(self):
         L = self.grid.n_points
-        if self.ops.shape[0] != L or self.ops.shape[1] != self.ops.shape[2]:
-            raise GridMismatch(f"kernel table shape {self.ops.shape} vs L={L}")
+        if self.symbol.shape[0] != L or self.symbol.shape[1] != self.symbol.shape[2]:
+            raise GridMismatch(f"kernel symbol shape {self.symbol.shape} vs L={L}")
 
     @property
     def dim(self) -> int:
-        return self.ops.shape[1]
+        return self.symbol.shape[1]
 
     def at_difference(self, d: int) -> np.ndarray:
-        return self.ops[d % self.grid.n_points]
+        """U(d * df) = (dlam / 2 pi) sum_m S(lam_m) e^{i lam_m d df}."""
+        g = self.grid
+        phase = np.exp(1j * g.lam * d * g.df)
+        return np.einsum("m,mab->ab", phase, self.symbol) * (g.dlam / (2 * np.pi))
 
     def adjoint(self) -> "OperatorKernel":
-        """The reverse kernel, ops[d] -> ops[-d]^dag: built from A -> B, it
+        """The reverse kernel, S(lam) -> S(lam)^dag: built from A -> B, it
         is the B -> A kernel, since U_A U_B^dag is the adjoint of U_B U_A^dag
         at every lambda."""
-        L = self.grid.n_points
-        return OperatorKernel(self.grid, self.ops[-np.arange(L) % L].conj().transpose(0, 2, 1))
+        return OperatorKernel(self.grid, self.symbol.conj().transpose(0, 2, 1))
 
     def unitarity_residual(self) -> float:
         """Max over every difference d of |sum_k U(k)^dag U(k+d) df -
-        delta_d0 / df|, with the autocorrelation taken by FFT."""
-        df = self.grid.df
-        S = np.fft.fft(self.ops, axis=0)
-        acc = np.fft.ifft(np.einsum("mba,mbc->mac", S.conj(), S), axis=0) * df
-        acc[0] -= np.eye(self.dim) / df
-        return float(np.abs(acc).max())
+        delta_d0 / df|; by Parseval that autocorrelation is the readout
+        transform of S^dag S, and delta_d0 / df that of the identity."""
+        gram = np.einsum("mba,mbc->mac", self.symbol.conj(), self.symbol)
+        return float(np.abs(_to_readout(gram - np.eye(self.dim), (self.grid,))).max())
 
 
 def finite_time_kernel(H, A, B, grid: TimeGrid, betaA: SwitchingFunction,
@@ -81,15 +82,7 @@ def finite_time_kernel(H, A, B, grid: TimeGrid, betaA: SwitchingFunction,
         raise DimensionMismatch(f"A dim {decA.dim} vs B dim {decB.dim}")
     uA = _coupled_propagators(H, decA, grid, betaA, lgrid)
     uB = _coupled_propagators(H, decB, grid, betaB, lgrid)
-    sym = np.einsum("mab,mcb->mac", uB, uA.conj())  # U_B U_A^dag per lambda
-
-    # table over one period of the difference lattice:
-    # ops[d] = (dlam/2pi) sum_m sym_m e^{2i pi (m - L/2) d / L}
-    L = lgrid.n_points
-    phase = (-1.0) ** np.arange(L)  # e^{-i pi d}
-    table = np.fft.ifft(sym, axis=0) * L
-    table = table * phase[:, None, None] * (lgrid.dlam / (2 * np.pi))
-    return OperatorKernel(lgrid, table)
+    return OperatorKernel(lgrid, np.einsum("mab,mcb->mac", uB, uA.conj()))
 
 
 def _coupled_propagators(H, decomp: SpectralDecomposition, grid: TimeGrid,
@@ -97,31 +90,23 @@ def _coupled_propagators(H, decomp: SpectralDecomposition, grid: TimeGrid,
     """Full sliced propagators with coupling lam * beta * Z, one per grid
     point, shape (L, dim, dim), in the computational basis; the identity
     columns of all points evolve as one (L * dim, dim) row stack."""
-    weights = slice_weights(beta, grid)
-    _check_grids(weights[None, :], decomp.eigenvalues, (lgrid,))
+    W = slice_weights(beta, grid)[None, :]
+    _check_grids(W, decomp.eigenvalues, (lgrid,))
     d = decomp.dim
-    lam, a = np.repeat(lgrid.lam, d), decomp.eigenvalues
     eyes = np.tile(np.eye(d, dtype=complex), (lgrid.n_points, 1))
-    cols = _sliced(_slice_transfer(H, decomp, grid), eyes, weights,
-                   lambda w: np.exp(-1j * np.outer(lam * w, a)))
+    cols = _coupled(H, decomp, grid, W, np.repeat(lgrid.lam, d)[:, None], eyes)
     V = decomp.eigenvectors
     return np.einsum("ab,mcb,dc->mad", V, cols.reshape(-1, d, d), V.conj())
 
 
 def apply_kernel(kernel: OperatorKernel, field: AmplitudeField) -> AmplitudeField:
     """Circular convolution field_B(f) = sum_f' U(f - f') field_A(f') df',
-    computed as the inverse FFT of the per-frequency products."""
-    if field.n_meters != 1:
-        raise GridMismatch("operator kernels act on single-meter fields")
-    g = field.grids[0]
-    if g.n_points != kernel.grid.n_points or not np.isclose(
-        g.dlam, kernel.grid.dlam, rtol=1e-12
-    ):
+    computed as the symbol times the field's lambda-space samples."""
+    grids = field.grids
+    if not _same_grids(grids, (kernel.grid,)):
         raise GridMismatch("kernel and field live on different grids")
-    prod = np.einsum("nab,nb->na", np.fft.fft(kernel.ops, axis=0),
-                     np.fft.fft(field.states, axis=0))
-    out = np.fft.ifft(prod, axis=0) * g.df
-    return AmplitudeField(field.grids, out, field.kind)
+    lam_states = np.einsum("mab,mb->ma", kernel.symbol, _to_lambda(field.states, grids))
+    return AmplitudeField(grids, _to_readout(lam_states, grids), field.kind)
 
 
 def von_neumann_basis_change(psi, decompA: SpectralDecomposition,

@@ -33,6 +33,8 @@ BASE_CONFIG = {
     "mensky": {"sigma": 0.001},
 }
 METER = BASE_CONFIG["meters"][0]
+PLAIN_METER = {k: v for k, v in METER.items() if k != "kernel"}
+TRANSFORM = {"observable_b": {"kind": "matrix", "entries": [[0.0, 1.0], [1.0, 0.0]]}}
 
 
 def write_config(tmp_path, cfg, name="exp.json"):
@@ -119,9 +121,18 @@ class TestRun:
          "transform.observable_b.entries"),
         # values that pass the field checks but that a constructor rejects
         ({"meters": [{**METER, "grid": {"points": 256, "df": 1e-320}}]}, "meters[0].grid"),
-        ({"time": {"total": 1e-320, "slices": 10}}, "meters[0].grid"),
+        ({"time": {"total": 1e-320, "slices": 10}}, "time"),
         ({"meters": [{**METER, "beta": {"kind": "constant", "value": 1e300}}]},
          "meters[0].beta"),
+        ({"route": "transform", "transform": TRANSFORM, "time": {"total": 1e-320, "slices": 10},
+          "meters": [{**PLAIN_METER, "grid": {"points": 256, "df": 0.05}}]}, "time"),
+        ({"meters": [{**METER, "beta": {"kind": "impulse", "t0": 5.0}}]},
+         "meters[0].beta.t0"),
+        # settings a route would drop: a kernel is read from meters[0] only,
+        # and a transform takes one meter
+        ({"route": "lambda", "meters": [PLAIN_METER, METER]}, "meters[1].kernel"),
+        ({"route": "transform", "transform": TRANSFORM, "meters": [PLAIN_METER] * 2},
+         "meters:"),
     ])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_bad_value_exits_2_and_names_it(self, tmp_path, capsys, override, field):

@@ -94,29 +94,36 @@ class TestFiniteTimeKernel:
             transforms.apply_kernel(ker, other)
 
 
+def difference_table(kernel):
+    """U(d * df) for every difference d = 0..L-1, by the literal sum."""
+    return np.array([kernel.at_difference(d) for d in range(kernel.grid.n_points)])
+
+
 def table_apply_kernel(kernel, field):
     """Reference convolution through the explicit (L, L, d, d) table
-    ops[(n - m) % L]."""
+    U((n - m) % L)."""
     L = kernel.grid.n_points
     diff = (np.arange(L)[:, None] - np.arange(L)[None, :]) % L
-    return np.einsum("nmab,mb->na", kernel.ops[diff], field.states) * kernel.grid.df
+    table = difference_table(kernel)
+    return np.einsum("nmab,mb->na", table[diff], field.states) * kernel.grid.df
 
 
 def roll_unitarity_residual(kernel):
     """Reference unitarity residual: one rolled product per difference d."""
     df = kernel.grid.df
     eye = np.eye(kernel.dim) / df
+    table = difference_table(kernel)
     res = 0.0
     for d in range(kernel.grid.n_points):
-        rolled = np.roll(kernel.ops, -d, axis=0)
-        acc = np.einsum("kba,kbc->ac", kernel.ops.conj(), rolled) * df
+        rolled = np.roll(table, -d, axis=0)
+        acc = np.einsum("kba,kbc->ac", table.conj(), rolled) * df
         res = max(res, float(np.abs(acc - (eye if d == 0 else 0.0)).max()))
     return res
 
 
 class TestKernelByFFT:
-    """The FFT routes against the literal difference-table routes, on a
-    generic dim-3 pair with sampled profiles."""
+    """The lambda-space routes against the literal difference-table
+    routes, on a generic dim-3 pair with sampled profiles."""
 
     def setup_method(self):
         rng = np.random.default_rng(23)
@@ -127,11 +134,17 @@ class TestKernelByFFT:
         self.lgrid = LambdaGrid.from_df(64, 0.25)
         self.ker = transforms.finite_time_kernel(
             self.H, self.A, self.B, self.grid, self.betaA, self.betaB, self.lgrid)
-        # a far-from-unitary table whose worst difference is d = +-1, not 0
+        # U(d) + 0.1 U(d - 1): far from unitary, worst at d = +-1, not 0
+        g = self.lgrid
         self.skewed = transforms.OperatorKernel(
-            self.lgrid, self.ker.ops + 0.1 * np.roll(self.ker.ops, 1, axis=0))
+            g, self.ker.symbol * (1 + 0.1 * np.exp(-1j * g.lam * g.df))[:, None, None])
         states = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
         self.field = meters.AmplitudeField((self.lgrid,), states, "fine")
+
+    def test_skewed_is_a_shifted_sum(self):
+        for d in (-1, 0, 5):
+            want = self.ker.at_difference(d) + 0.1 * self.ker.at_difference(d - 1)
+            assert np.abs(self.skewed.at_difference(d) - want).max() < 1e-13
 
     @pytest.mark.parametrize("which", ["ker", "skewed"])
     def test_apply_kernel_matches_difference_table(self, which):
@@ -148,12 +161,16 @@ class TestKernelByFFT:
         assert abs(ker.unitarity_residual() - ref) < 1e-12 * scale
 
     def test_adjoint_is_the_reverse_kernel(self):
-        """ops[-d]^dag equals the B -> A kernel built from scratch; the round
-        trip through the adjoint restores a field only if the kernel is
-        unitary, so it still checks something."""
+        """S^dag equals the B -> A kernel built from scratch; the round trip
+        through the adjoint restores a field only if the kernel is unitary,
+        so it still checks something."""
         rev = transforms.finite_time_kernel(
             self.H, self.B, self.A, self.grid, self.betaB, self.betaA, self.lgrid)
-        assert np.abs(self.ker.adjoint().ops - rev.ops).max() < 1e-12 * np.abs(rev.ops).max()
+        err = np.abs(self.ker.adjoint().symbol - rev.symbol).max()
+        assert err < 1e-12 * np.abs(rev.symbol).max()
+        for d in (-3, 0, 7):  # U(d) -> U(-d)^dag in readout space
+            want = self.ker.at_difference(-d).conj().T
+            assert np.abs(self.ker.adjoint().at_difference(d) - want).max() < 1e-13
 
         def round_trip(ker):
             there = transforms.apply_kernel(ker, self.field)
@@ -162,6 +179,16 @@ class TestKernelByFFT:
         scale = np.abs(self.field.states).max()
         assert np.abs(round_trip(self.ker) - self.field.states).max() < 1e-10 * scale
         assert np.abs(round_trip(self.skewed) - self.field.states).max() > 0.05 * scale
+
+    def test_scalar_symbol_matches_coarse_grain(self):
+        """An operator kernel whose symbol is a Gaussian kernel's symbol
+        times the identity acts as coarse_grain with that kernel: the two
+        kernel mechanisms share one Fourier convention."""
+        gauss = meters.CoarseGrainKernel.gaussian(self.lgrid, 0.75)
+        ker = transforms.OperatorKernel(self.lgrid, gauss.symbol()[:, None, None] * np.eye(3))
+        want = meters.coarse_grain(self.field, gauss).states
+        got = transforms.apply_kernel(ker, self.field).states
+        assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
 
 
 class TestVonNeumannBasisChange:
