@@ -294,11 +294,6 @@ class _Experiment:
         meters = root.nodes("meters")
         self.betas = [self._switching(m.node("beta")) for m in meters]
         self.lgrids = [self._lambda_grid(m.node("grid"), b) for m, b in zip(meters, self.betas)]
-        for m in meters[1:]:
-            if "kernel" in m.value:
-                raise ConfigInvalid(m._at("kernel"), "meters[0]'s kernel acts on every meter")
-        first = meters[0]
-        self.kernel = self._kernel(first.node("kernel")) if "kernel" in first.value else None
         self.spec = PathFunctionalSpec(self.grid, tuple(self.betas))
 
         mensky = root.node("mensky", {})
@@ -316,6 +311,12 @@ class _Experiment:
                 raise ConfigInvalid("meters", "transform runs use exactly one meter")
             b = root.node("transform").node("observable_b")
             self.decomp_b = self._decompose(b, dim)
+        for i, m in enumerate(meters):  # one kernel acts on the lambda route's field
+            if "kernel" in m.value and (i or self.route not in ("lambda", "crosscheck")):
+                raise ConfigInvalid(m._at("kernel"), "a kernel goes on meters[0] of a lambda "
+                                    "or crosscheck run, and acts on every meter")
+        first = meters[0]
+        self.kernel = self._kernel(first.node("kernel")) if "kernel" in first.value else None
 
     def _decompose(self, obs: _Node, dim: int):
         if obs.kind("coordinates", "matrix") == "coordinates":
@@ -364,6 +365,8 @@ class _Experiment:
         if len(meters) != 1:
             raise ConfigInvalid("meters", "particle1d runs use exactly one meter")
         m = meters[0]
+        if "kernel" in m.value:
+            raise ConfigInvalid(m._at("kernel"), "particle1d runs take no kernel")
         beta = self._switching(m.node("beta"))
         f = m.node("functional")
         if f.kind("region", "position") == "region":

@@ -34,7 +34,7 @@ class LengthMismatch(PathMeterError):
 
 
 class CapExceeded(PathMeterError):
-    """A path sum would hold more path classes than the configured cap.
+    """A path sum would hold more path classes than pathsum.PATH_CAP.
 
     Carries (requested, cap): the candidate (key, end label) classes of
     the next slice, which are the paths themselves when nothing merges.

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import GridMismatch
 from .meters import AmplitudeField, LambdaGrid, _check_grids, _to_readout
-from .pathsum import PATH_CAP, BinnedAmplitudes, _class_sum, _functional_inc
-from .timegrid import BIN_TOL_FACTOR, SwitchingFunction, TimeGrid, slice_weights
+from .pathsum import BinnedAmplitudes, _binned, _class_sum
+from .timegrid import SwitchingFunction, TimeGrid, slice_weights
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,6 @@ def _dense_slice_operator(psi: LatticeWavefunction, V, grid: TimeGrid,
 
 
 def tiny_lattice_feynman_sum(psi0: LatticeWavefunction, V, grid: TimeGrid,
-                             cap: int = PATH_CAP,
                              split_kinetic: bool = False) -> np.ndarray:
     """Sum over every position history on a tiny lattice.
 
@@ -226,20 +225,15 @@ def tiny_lattice_feynman_sum(psi0: LatticeWavefunction, V, grid: TimeGrid,
     V = np.asarray(V, dtype=float)
     _check_lattice(psi0, [("potential", V)])
     u = _dense_slice_operator(psi0, V, grid, split_kinetic)
-    _, states = _class_sum(u, u @ psi0.values, grid.steps, cap)
+    _, states = _class_sum(u, u @ psi0.values, grid.steps)
     return states.sum(axis=0)
 
 
 def tiny_lattice_feynman_bins(psi0: LatticeWavefunction, V, grid: TimeGrid,
-                              cf: CoordinateFunctional, cap: int = PATH_CAP,
+                              cf: CoordinateFunctional,
                               split_kinetic: bool = False) -> BinnedAmplitudes:
     """Position histories grouped by their coordinate functional."""
     V = np.asarray(V, dtype=float)
     _check_lattice(psi0, [("potential", V), ("functional", cf.values)])
     u = _dense_slice_operator(psi0, V, grid, split_kinetic)
-    w = slice_weights(cf.beta, grid)
-    scale = max(1.0, float(np.abs(cf.values).max()))
-    bin_tol = BIN_TOL_FACTOR * float(np.abs(w).max()) * scale
-    keys, states = _class_sum(u, u @ psi0.values, grid.steps, cap,
-                              _functional_inc(w, cf.values), bin_tol)
-    return BinnedAmplitudes(keys, states, bin_tol)
+    return _binned(u, u @ psi0.values, grid.steps, slice_weights(cf.beta, grid), cf.values)

@@ -20,9 +20,12 @@ count polynomial in N; generic values merge nothing and cost as much as
 listing the paths. Grouping by jumps recovers the nested time-ordered
 perturbation series in the off-diagonal coupling.
 
-Every reduction runs in a fixed order, so results are reproducible bit
-for bit for a given configuration. enumerate_eigenpaths and
-path_amplitude stay as the literal one-path-at-a-time oracle.
+Every binned sum goes through _binned, which holds the one bin-tolerance
+rule: BIN_TOL_FACTOR times the largest key increment |w_ij F(a_l)|, so it
+scales with the keys. Every reduction runs in a fixed order, so results
+are reproducible bit for bit for a given configuration.
+enumerate_eigenpaths and path_amplitude stay as the literal
+one-path-at-a-time oracle.
 """
 
 from __future__ import annotations
@@ -47,8 +50,9 @@ from .hilbert import (
 )
 from .timegrid import PathFunctionalSpec, TimeGrid
 
-PATH_CAP = 2**22
+PATH_CAP = 2**22  # most candidate classes a path sum may hold after any slice
 MAX_QUADRATURE_CELLS = 2**22
+BIN_TOL_FACTOR = 1e-6  # bin tolerance per unit of the largest key increment
 SNAP_SPREAD = 1e-6  # column clusters narrower than this times bin_tol are one value
 
 
@@ -123,12 +127,12 @@ def _slice_transfer(H, decomp: SpectralDecomposition, grid: TimeGrid):
     return decomp.eigenvectors.conj().T @ u_full @ decomp.eigenvectors
 
 
-def enumerate_eigenpaths(dim: int, grid: TimeGrid, cap: int = PATH_CAP):
+def enumerate_eigenpaths(dim: int, grid: TimeGrid):
     """Yield all dim**N eigenpaths in lexicographic order."""
     if dim < 2:
         raise ValueError(f"need dim >= 2 to label paths, got {dim}")
-    if dim**grid.steps > cap:
-        raise CapExceeded(dim**grid.steps, cap)
+    if dim**grid.steps > PATH_CAP:
+        raise CapExceeded(dim**grid.steps, PATH_CAP)
     for indices in itertools.product(range(dim), repeat=grid.steps):
         yield EigenPath(indices)
 
@@ -160,12 +164,11 @@ def path_amplitude(H, decomp: SpectralDecomposition, grid: TimeGrid, path,
     return PathAmplitude(path, psi, path.jump_count)
 
 
-def path_sum_total(H, decomp: SpectralDecomposition, grid: TimeGrid, psi0,
-                   cap: int = PATH_CAP) -> np.ndarray:
+def path_sum_total(H, decomp: SpectralDecomposition, grid: TimeGrid, psi0) -> np.ndarray:
     """Coherent sum over every eigenpath; equals exp(-iHT) psi0."""
     _require_labeling(decomp)
     u = _slice_transfer(H, decomp, grid)
-    _, states = _class_sum(u, u @ decomp.to_eigenbasis(psi0), grid.steps, cap)
+    _, states = _class_sum(u, u @ decomp.to_eigenbasis(psi0), grid.steps)
     return decomp.from_eigenbasis(states.sum(axis=0))
 
 
@@ -239,7 +242,7 @@ def _merge(keys, ends, amps, tol, snap):
     return keys[keep], ends[starts][keep], amps[keep]
 
 
-def _class_sum(u, v0, steps: int, cap: int, inc=None, tol: float = 0.0):
+def _class_sum(u, v0, steps: int, inc=None, tol: float = 0.0):
     """Restricted path sums by prefix classes: the engine behind every sum.
 
     A class (key, end label l) holds the summed amplitude of every history
@@ -249,7 +252,7 @@ def _class_sum(u, v0, steps: int, cap: int, inc=None, tol: float = 0.0):
     classes with equal end labels and keys merge: float keys by gap
     clustering within tol (snapped to one value per bin after the last
     slice), integer keys only when exactly equal. `inc`
-    broadcasts to (steps, d, d, M); None means no key (M = 0). `cap`
+    broadcasts to (steps, d, d, M); None means no key (M = 0). PATH_CAP
     bounds the candidate classes of the next slice, which equal the paths
     when nothing merges. Returns the distinct keys (K, M), in lexicographic
     order, and the summed states (K, d) in the labeling basis.
@@ -263,13 +266,16 @@ def _class_sum(u, v0, steps: int, cap: int, inc=None, tol: float = 0.0):
     amps = np.ones(1, dtype=np.result_type(u, v0))
     for j in range(steps):
         n = ends.size * d
-        if n > cap:
-            raise CapExceeded(n, cap)
+        if n > PATH_CAP:
+            raise CapExceeded(n, PATH_CAP)
         step = u.T if j else v0[None, :]
         keys = (keys[:, None, :] + inc[j][ends]).reshape(n, M)
         amps = (amps[:, None] * step[ends]).reshape(n)
         ends = np.tile(np.arange(d), ends.size)
         keys, ends, amps = _merge(keys, ends, amps, tol, snap=j == steps - 1)
+    if M:  # cluster ids can chain values closer than tol; order by value
+        order = np.lexsort(keys.T[::-1])
+        keys, ends, amps = keys[order], ends[order], amps[order]
     first = np.ones(ends.size, dtype=bool)
     first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
     states = np.zeros((int(first.sum()), d), dtype=amps.dtype)
@@ -277,35 +283,34 @@ def _class_sum(u, v0, steps: int, cap: int, inc=None, tol: float = 0.0):
     return keys[first], states
 
 
-def _functional_inc(weights, values) -> np.ndarray:
-    """Key increments w_ij * F(l') of the meter functionals, (N, 1, d, M)."""
-    return (np.atleast_2d(weights).T[:, None, :] * np.asarray(values, float)[:, None])[:, None]
+def _binned(u, v0, steps: int, weights, values, basis=None) -> BinnedAmplitudes:
+    """Path sum binned by the meter functionals F_i = sum_j w_ij values[l_j].
+
+    The bin tolerance is BIN_TOL_FACTOR times the largest key increment
+    |w_ij values[l]|: it absorbs float non-associativity at the scale of
+    the keys without merging distinct lattice values. `basis` maps the
+    states out of the labeling basis (None keeps them there).
+    """
+    inc = np.atleast_2d(weights).T[:, None, :] * np.asarray(values, float)[:, None]
+    tol = BIN_TOL_FACTOR * float(np.abs(inc).max())
+    keys, states = _class_sum(u, v0, steps, inc[:, None], tol)
+    return BinnedAmplitudes(keys, states if basis is None else states @ basis.T, tol)
 
 
 def binned_measurement_amplitude(H, decomp: SpectralDecomposition,
                                  grid: TimeGrid, psi0,
-                                 spec: PathFunctionalSpec,
-                                 cap: int = PATH_CAP) -> BinnedAmplitudes:
+                                 spec: PathFunctionalSpec) -> BinnedAmplitudes:
     """Group path substates by their meter-functional values.
 
     Bin keys are the quantised values F_i = sum_j w_ij a(t_j); the bins
     partition the path set, so summing all bin states reproduces
     path_sum_total up to summation-order rounding.
     """
-    _require_labeling(decomp)
-    if spec.grid != grid:
-        raise DimensionMismatch("functional spec built on a different time grid")
-    tol = spec.bin_tol()
-    u = _slice_transfer(H, decomp, grid)
-    keys, states = _class_sum(
-        u, u @ decomp.to_eigenbasis(psi0), grid.steps, cap,
-        _functional_inc(spec.weight_matrix(), decomp.eigenvalues), tol)
-    return BinnedAmplitudes(keys, states @ decomp.eigenvectors.T, tol)
+    return relabel_by_function(H, decomp, grid, psi0, spec, lambda a: a)
 
 
 def relabel_by_function(H, decomp: SpectralDecomposition, grid: TimeGrid,
-                        psi0, spec: PathFunctionalSpec, eigenvalue_map,
-                        cap: int = PATH_CAP) -> BinnedAmplitudes:
+                        psi0, spec: PathFunctionalSpec, eigenvalue_map) -> BinnedAmplitudes:
     """Restricted sum for a function of the observable.
 
     `eigenvalue_map` maps each eigenvalue a_k to the measured value
@@ -318,24 +323,21 @@ def relabel_by_function(H, decomp: SpectralDecomposition, grid: TimeGrid,
     _require_labeling(decomp)
     if spec.grid != grid:
         raise DimensionMismatch("functional spec built on a different time grid")
-    mapped = np.asarray([eigenvalue_map(a) for a in decomp.eigenvalues], dtype=float)
-    bin_tol = spec.bin_tol() * max(1.0, float(np.abs(mapped).max()))
+    mapped = [eigenvalue_map(a) for a in decomp.eigenvalues]
     u = _slice_transfer(H, decomp, grid)
-    keys, states = _class_sum(
-        u, u @ decomp.to_eigenbasis(psi0), grid.steps, cap,
-        _functional_inc(spec.weight_matrix(), mapped), bin_tol)
-    return BinnedAmplitudes(keys, states @ decomp.eigenvectors.T, bin_tol)
+    return _binned(u, u @ decomp.to_eigenbasis(psi0), grid.steps,
+                   spec.weight_matrix(), mapped, decomp.eigenvectors)
 
 
 def group_paths_by_jumps(H, decomp: SpectralDecomposition, grid: TimeGrid,
-                         psi0, cap: int = PATH_CAP) -> dict:
+                         psi0) -> dict:
     """Partial path sums keyed by the number of jumps along the path."""
     _require_labeling(decomp)
     N, d = grid.steps, decomp.dim
     u = _slice_transfer(H, decomp, grid)
     # key increment [l != l'] on every slice after the first
     jumps = (np.arange(N) > 0)[:, None, None, None] * (1 - np.eye(d, dtype=np.int64))[..., None]
-    keys, states = _class_sum(u, u @ decomp.to_eigenbasis(psi0), N, cap, jumps)
+    keys, states = _class_sum(u, u @ decomp.to_eigenbasis(psi0), N, jumps)
     by_count = np.zeros((N, d), dtype=complex)
     by_count[keys[:, 0]] = states
     states = by_count @ decomp.eigenvectors.T

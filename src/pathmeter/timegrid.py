@@ -25,10 +25,6 @@ from .errors import (
     LengthMismatch,
 )
 
-# relative factor for quantising functional values into bins; absorbs
-# float non-associativity without merging distinct lattice values
-BIN_TOL_FACTOR = 1e-6
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -135,11 +131,6 @@ class PathFunctionalSpec:
     def weight_matrix(self) -> np.ndarray:
         """Stacked slice weights, shape (M, N)."""
         return np.stack([slice_weights(b, self.grid) for b in self.betas])
-
-    def bin_tol(self) -> float:
-        """Quantisation tolerance for grouping functional values."""
-        wmax = float(np.abs(self.weight_matrix()).max())
-        return BIN_TOL_FACTOR * max(wmax, 1e-12)
 
 
 def functional_value(spec: PathFunctionalSpec, path, decomp) -> np.ndarray:

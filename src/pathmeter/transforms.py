@@ -27,7 +27,7 @@ from .errors import DimensionMismatch, GridMismatch
 from .hilbert import SpectralDecomposition, as_state
 from .meters import (AmplitudeField, LambdaGrid, _as_decomp, _check_grids, _coupled,
                      _same_grids, _slice_transfer, _to_lambda, _to_readout)
-from .pathsum import PATH_CAP, _class_sum
+from .pathsum import _class_sum
 from .timegrid import SwitchingFunction, TimeGrid, slice_weights
 
 KERNEL_TOL = 1e-6
@@ -128,8 +128,7 @@ def von_neumann_basis_change(psi, decompA: SpectralDecomposition,
     return via_a
 
 
-def completeness_identity_check(H, decompA: SpectralDecomposition,
-                                grid: TimeGrid, cap: int = PATH_CAP) -> float:
+def completeness_identity_check(H, decompA: SpectralDecomposition, grid: TimeGrid) -> float:
     """|sum over eigenpaths of U[a]^dag U[a] - 1|_max.
 
     Every path operator factorises as c[a] |a_kN><row(k1)|, so the sum
@@ -142,7 +141,7 @@ def completeness_identity_check(H, decompA: SpectralDecomposition,
     d, N = decompA.dim, grid.steps
     u = _slice_transfer(H, decompA, grid)
     start = (np.arange(N) == 0)[:, None, None, None] * np.arange(d)[:, None]
-    keys, weights = _class_sum(np.abs(u) ** 2, np.ones(d), N, cap, start)
+    keys, weights = _class_sum(np.abs(u) ** 2, np.ones(d), N, start)
     start_weight = np.zeros(d)
     start_weight[keys[:, 0]] = weights.sum(axis=1)
     total = u.conj().T @ np.diag(start_weight) @ u

@@ -133,6 +133,10 @@ class TestRun:
         ({"route": "lambda", "meters": [PLAIN_METER, METER]}, "meters[1].kernel"),
         ({"route": "transform", "transform": TRANSFORM, "meters": [PLAIN_METER] * 2},
          "meters:"),
+        # and only the lambda and crosscheck routes coarse-grain a field
+        ({"route": "paths"}, "meters[0].kernel"),
+        ({"route": "mensky"}, "meters[0].kernel"),
+        ({"route": "transform", "transform": TRANSFORM}, "meters[0].kernel"),
     ])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_bad_value_exits_2_and_names_it(self, tmp_path, capsys, override, field):
@@ -160,6 +164,8 @@ class TestRun:
         (("system", "dx"), 1e-300, "system"),
         (("system", "packet", "width"), 1e-300, "system"),
         (("system", "mass"), 1e-320, "system"),
+        # a particle meter has no coarse-grained field
+        (("meters", 0, "kernel"), {"kind": "gaussian", "width": 0.1}, "meters[0].kernel"),
     ], ids=lambda v: v[-1] if isinstance(v, tuple) else None)
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_bad_particle_value_exits_2_and_names_it(self, tmp_path, capsys,
@@ -186,7 +192,7 @@ class TestRun:
 
     def test_path_cap_exits_3(self, tmp_path, capsys):
         """Incommensurate slice weights merge almost no classes, so slice 4
-        would need about 64^4 candidates, past the default cap."""
+        would need about 64^4 candidates, past PATH_CAP."""
         cfg = {
             "schema_version": 1,
             "route": "paths",
@@ -203,6 +209,17 @@ class TestRun:
         code, _ = run_main(tmp_path, cfg)
         assert code == cli.EXIT_RESOURCE
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e9])
+    def test_scaled_observable_crosscheck_passes(self, tmp_path, scale):
+        """The qubit crosscheck fixture, observable diag(1, 2) * scale: the
+        bins follow the scale of the readouts, so both routes still agree."""
+        cfg = json.loads((CONFIGS / "qubit_crosscheck.json").read_text())
+        del cfg["meters"][0]["kernel"], cfg["mensky"]
+        cfg["observable"] = {"kind": "matrix", "entries": [[scale, 0.0], [0.0, 2 * scale]]}
+        code, out = run_main(tmp_path, cfg)
+        assert code == cli.EXIT_PASS
+        assert len((tmp_path / "out" / "bins.csv").read_text().splitlines()) == 1 + 13
 
     def test_residual_failure_exits_1(self, tmp_path):
         cfg = copy.deepcopy(BASE_CONFIG)
@@ -235,6 +252,7 @@ class TestRun:
         cfg = copy.deepcopy(BASE_CONFIG)
         cfg["route"] = "mensky"
         cfg["mensky"] = {"sigma": 1.0}
+        del cfg["meters"][0]["kernel"]
         code, out = run_main(tmp_path, cfg)
         assert code == cli.EXIT_PASS
         rows = (tmp_path / "out" / "records.csv").read_text().splitlines()

@@ -50,7 +50,7 @@ class TestEnumeration:
 
     def test_cap_exceeded(self):
         with pytest.raises(CapExceeded):
-            list(pathsum.enumerate_eigenpaths(2, TimeGrid(1.0, 40), cap=2**24))
+            list(pathsum.enumerate_eigenpaths(2, TimeGrid(1.0, 40)))
 
     def test_jump_count(self):
         assert pathsum.EigenPath((0, 0, 1, 1, 0)).jump_count == 2
@@ -193,6 +193,36 @@ class TestBinnedAmplitudes:
         assert bins.n_bins == paths.shape[1]
         dev = np.abs(np.sort(bins.f_values, axis=0) - np.sort(exact.T, axis=0)).max()
         assert dev <= 1e-12 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bins_come_in_lexicographic_order(self, seed):
+        """Generic dim-3 system, two sampled meters, N = 9: the rows are
+        sorted by value, even where one column cluster chains values closer
+        than the bin tolerance."""
+        rng = np.random.default_rng(seed)
+        H = random_hermitian(rng, 3)
+        dec = hilbert.spectral_decompose(random_hermitian(rng, 3))
+        psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
+        grid = TimeGrid(1.0, 9)
+        spec = PathFunctionalSpec(grid, tuple(
+            SwitchingFunction.sampled(rng.uniform(0.5, 1.5, size=9)) for _ in range(2)))
+        bins = pathsum.binned_measurement_amplitude(H, dec, grid, psi0, spec)
+        assert np.array_equal(np.lexsort(bins.f_values.T[::-1]), np.arange(bins.n_bins))
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_bin_tolerance_follows_the_key_scale(self, qubit_h, psi_plus, scale):
+        """Observable diag(1, 2) * scale, N = 12: 13 bins at every scale,
+        for the raw labels and for a function of them, and the bins still
+        sum to the evolved state."""
+        dec = hilbert.spectral_decompose(np.diag([1.0, 2.0]) * scale)
+        grid = TimeGrid(1.0, 12)
+        spec = PathFunctionalSpec(grid, (SwitchingFunction.constant(1.0),))
+        exact = hilbert.exact_propagator(qubit_h, 1.0) @ psi_plus
+        for bins in (pathsum.binned_measurement_amplitude(qubit_h, dec, grid, psi_plus, spec),
+                     pathsum.relabel_by_function(
+                         qubit_h, dec, grid, psi_plus, spec, lambda a: -3 * a)):
+            assert bins.n_bins == 13
+            assert np.linalg.norm(bins.total() - exact) <= 1e-12
 
     def test_three_level_two_meters_brute_force(self):
         rng = np.random.default_rng(21)
@@ -490,21 +520,20 @@ def test_class_engine_matches_literal_paths(problem):
     paths = list(pathsum.enumerate_eigenpaths(dec.dim, grid))
     F = np.array([W @ dec.eigenvalues[list(p.indices)] for p in paths])
     G = np.array([W[0] @ mapped[list(p.indices)] for p in paths])
-    relabel_tol = spec.bin_tol() * max(1.0, float(np.abs(mapped).max()))
-    assume(separated(F, spec.bin_tol()) and separated(G[:, None], relabel_tol))
+    bins = pathsum.binned_measurement_amplitude(H, dec, grid, psi0, spec)
+    spec1 = PathFunctionalSpec(grid, spec.betas[:1])
+    merged = pathsum.relabel_by_function(
+        H, dec, grid, psi0, spec1,
+        lambda a: mapped[np.argmin(np.abs(dec.eigenvalues - a))])
+    assume(separated(F, bins.bin_tol) and separated(G[:, None], merged.bin_tol))
     subs = [pathsum.path_amplitude(H, dec, grid, p, psi0) for p in paths]
 
-    bins = pathsum.binned_measurement_amplitude(H, dec, grid, psi0, spec)
     oracle = brute_force_bins(H, dec, grid, psi0, spec)
     assert bins.n_bins == len(oracle)
     assert np.all(np.diff(bins.f_values[:, 0]) >= 0)
     for row, state in zip(bins.f_values, bins.states):
         assert np.abs(state - oracle[tuple(np.round(row, 9))]).max() < 1e-12
 
-    spec1 = PathFunctionalSpec(grid, spec.betas[:1])
-    merged = pathsum.relabel_by_function(
-        H, dec, grid, psi0, spec1,
-        lambda a: mapped[np.argmin(np.abs(dec.eigenvalues - a))])
     regrouped = {}
     for g, sub in zip(G, subs):
         key = round(g, 9)
