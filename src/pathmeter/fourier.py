@@ -31,8 +31,14 @@ def centered_idft(x: np.ndarray, axis: int = 0) -> np.ndarray:
     L = x.shape[axis]
     sign = _alternating(L, x.ndim, axis)
     # e^{2i pi (m-L/2)(n-L/2)/L} = (-1)^m (-1)^n i^L e^{2i pi m n / L}
-    y = np.fft.ifft(x * sign, axis=axis) * L
-    return y * sign * (1j ** (L % 4))
+    # one buffer, transformed and scaled in place: a temporary per step
+    # would raise peak memory on (L, n) stacks
+    y = (x * sign).astype(complex, copy=False)
+    np.fft.ifft(y, axis=axis, out=y)
+    y *= L
+    y *= sign
+    y *= 1j ** (L % 4)
+    return y
 
 
 def centered_dft(y: np.ndarray, axis: int = 0) -> np.ndarray:

@@ -174,7 +174,8 @@ def _coupled(H, decomp: SpectralDecomposition, grid: TimeGrid, W: np.ndarray,
 def _to_readout(values: np.ndarray, grids) -> np.ndarray:
     """Lambda samples to readout field: per axis, centred inverse DFT x dlam/2pi."""
     for i, g in enumerate(grids):
-        values = centered_idft(values, axis=i) * (g.dlam / (2 * np.pi))
+        values = centered_idft(values, axis=i)
+        values *= g.dlam / (2 * np.pi)
     return values
 
 

@@ -21,9 +21,10 @@ listing the paths. Grouping by jumps recovers the nested time-ordered
 perturbation series in the off-diagonal coupling.
 
 Every binned sum goes through _binned, which holds the one bin-tolerance
-rule: BIN_TOL_FACTOR times the largest key increment |w_ij F(a_l)|, so it
-scales with the keys. Every reduction runs in a fixed order, so results
-are reproducible bit for bit for a given configuration.
+rule: per meter i, BIN_TOL_FACTOR times its largest key increment
+|w_ij F(a_l)|, so it scales with that meter's keys. Every reduction runs
+in a fixed order, so results are reproducible bit for bit for a given
+configuration.
 enumerate_eigenpaths and path_amplitude stay as the literal
 one-path-at-a-time oracle.
 """
@@ -52,7 +53,7 @@ from .timegrid import PathFunctionalSpec, TimeGrid
 
 PATH_CAP = 2**22  # most candidate classes a path sum may hold after any slice
 MAX_QUADRATURE_CELLS = 2**22
-BIN_TOL_FACTOR = 1e-6  # bin tolerance per unit of the largest key increment
+BIN_TOL_FACTOR = 1e-6  # bin tolerance per unit of a meter's largest key increment
 SNAP_SPREAD = 1e-6  # column clusters narrower than this times bin_tol are one value
 
 
@@ -82,12 +83,13 @@ class BinnedAmplitudes:
     """Path amplitudes grouped by quantised meter-functional values.
 
     `f_values` has one row per bin (columns = meters), lexicographically
-    ordered; `states` holds the coherent sum of the member substates.
+    ordered; `states` holds the coherent sum of the member substates;
+    `bin_tol` holds one tolerance per column.
     """
 
     f_values: np.ndarray
     states: np.ndarray
-    bin_tol: float
+    bin_tol: np.ndarray
 
     @property
     def n_bins(self) -> int:
@@ -97,8 +99,8 @@ class BinnedAmplitudes:
         # pairwise summation runs along the contiguous axis only
         return np.ascontiguousarray(self.states.T).sum(axis=1)
 
-    def state_at(self, f, tol: float | None = None) -> np.ndarray:
-        """State of the bin whose key matches `f` within tol."""
+    def state_at(self, f, tol=None) -> np.ndarray:
+        """State of the bin whose key matches `f` within tol (per column)."""
         f = np.atleast_1d(np.asarray(f, dtype=float))
         tol = self.bin_tol if tol is None else tol
         hit = np.all(np.abs(self.f_values - f[None, :]) <= tol, axis=1)
@@ -172,13 +174,13 @@ def path_sum_total(H, decomp: SpectralDecomposition, grid: TimeGrid, psi0) -> np
     return decomp.from_eigenbasis(states.sum(axis=0))
 
 
-def _cluster_columns(F: np.ndarray, tol: float) -> np.ndarray:
+def _cluster_columns(F: np.ndarray, tol: np.ndarray) -> np.ndarray:
     """Quantise each column into gap-separated clusters.
 
     Assumes genuinely distinct functional values are separated by much
-    more than tol (they live on the attainable-value lattice), so a gap
-    split on the sorted column is unambiguous. Returns integer cluster ids
-    per row, increasing with the column value.
+    more than the column's tol[i] (they live on the attainable-value
+    lattice), so a gap split on the sorted column is unambiguous. Returns
+    integer cluster ids per row, increasing with the column value.
     """
     P, M = F.shape
     ids = np.empty((P, M), dtype=np.int64)
@@ -186,15 +188,15 @@ def _cluster_columns(F: np.ndarray, tol: float) -> np.ndarray:
         order = np.argsort(F[:, i], kind="stable")
         starts = np.empty(P, dtype=bool)
         starts[0] = True
-        np.greater(np.diff(F[order, i]), tol, out=starts[1:])
+        np.greater(np.diff(F[order, i]), tol[i], out=starts[1:])
         ids[order, i] = np.cumsum(starts) - 1
     return ids
 
 
-def _snap(keys: np.ndarray, ids: np.ndarray, bins: np.ndarray, tol: float) -> np.ndarray:
+def _snap(keys: np.ndarray, ids: np.ndarray, bins: np.ndarray, tol: np.ndarray) -> np.ndarray:
     """Every row's float key replaced by one representative per bin.
 
-    A column cluster that spans at most SNAP_SPREAD * tol holds one
+    A column cluster that spans at most SNAP_SPREAD * tol[i] holds one
     attainable value up to rounding, and all its rows get the cluster
     mean. A wider cluster chains distinct values, and each bin (the full
     cluster-id tuple) gets the mean over its own rows. Columns are summed
@@ -206,7 +208,7 @@ def _snap(keys: np.ndarray, ids: np.ndarray, bins: np.ndarray, tol: float) -> np
         order = np.argsort(keys[:, i], kind="stable")
         col, cid = keys[order, i], ids[order, i]
         starts = np.flatnonzero(np.diff(cid, prepend=-1))
-        wide = col[np.append(starts[1:], col.size) - 1] - col[starts] > SNAP_SPREAD * tol
+        wide = col[np.append(starts[1:], col.size) - 1] - col[starts] > SNAP_SPREAD * tol[i]
         group = np.where(wide[cid], starts.size + bins[order], cid)
         out[order, i] = np.bincount(group, weights=col)[group] / np.bincount(group)[group]
     return out
@@ -242,7 +244,7 @@ def _merge(keys, ends, amps, tol, snap):
     return keys[keep], ends[starts][keep], amps[keep]
 
 
-def _class_sum(u, v0, steps: int, inc=None, tol: float = 0.0):
+def _class_sum(u, v0, steps: int, inc=None, tol=0.0):
     """Restricted path sums by prefix classes: the engine behind every sum.
 
     A class (key, end label l) holds the summed amplitude of every history
@@ -250,17 +252,19 @@ def _class_sum(u, v0, steps: int, inc=None, tol: float = 0.0):
     l) with amplitude v0[l]; each later slice j sends (k, l) to
     (k + inc[j, l, l'], l') with factor u[l', l]. After every slice,
     classes with equal end labels and keys merge: float keys by gap
-    clustering within tol (snapped to one value per bin after the last
-    slice), integer keys only when exactly equal. `inc`
-    broadcasts to (steps, d, d, M); None means no key (M = 0). PATH_CAP
-    bounds the candidate classes of the next slice, which equal the paths
-    when nothing merges. Returns the distinct keys (K, M), in lexicographic
-    order, and the summed states (K, d) in the labeling basis.
+    clustering within tol, one value or one per key column (snapped to one
+    value per bin after the last slice), integer keys only when exactly
+    equal. `inc` broadcasts to (steps, d, d, M); None means no key (M = 0).
+    PATH_CAP bounds the candidate classes of the next slice, which equal
+    the paths when nothing merges. Returns the distinct keys (K, M), in
+    lexicographic order, and the summed states (K, d) in the labeling
+    basis.
     """
     d = u.shape[0]
     inc = np.zeros((1, 1, 1, 0), dtype=np.int64) if inc is None else inc
     M = inc.shape[-1]
     inc = np.broadcast_to(inc, (steps, d, d, M))
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), (M,))
     keys = np.zeros((1, M), dtype=inc.dtype)
     ends = np.zeros(1, dtype=np.int64)
     amps = np.ones(1, dtype=np.result_type(u, v0))
@@ -273,26 +277,33 @@ def _class_sum(u, v0, steps: int, inc=None, tol: float = 0.0):
         amps = (amps[:, None] * step[ends]).reshape(n)
         ends = np.tile(np.arange(d), ends.size)
         keys, ends, amps = _merge(keys, ends, amps, tol, snap=j == steps - 1)
-    if M:  # cluster ids can chain values closer than tol; order by value
-        order = np.lexsort(keys.T[::-1])
-        keys, ends, amps = keys[order], ends[order], amps[order]
+    # one row per key, in lexicographic order (cluster ids can chain values
+    # closer than tol). Classes of different bins can snap to one key with
+    # one end label: they are summed, and a class alone in its (key, end)
+    # slot keeps its bits.
+    order = np.lexsort((ends, *keys.T[::-1]))
+    keys, ends, amps = keys[order], ends[order], amps[order]
     first = np.ones(ends.size, dtype=bool)
     first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    slot = first.copy()
+    slot[1:] |= ends[1:] != ends[:-1]
+    starts = np.flatnonzero(slot)
     states = np.zeros((int(first.sum()), d), dtype=amps.dtype)
-    states[np.cumsum(first) - 1, ends] = amps
+    states[(np.cumsum(first) - 1)[starts], ends[starts]] = np.add.reduceat(amps, starts)
     return keys[first], states
 
 
 def _binned(u, v0, steps: int, weights, values, basis=None) -> BinnedAmplitudes:
     """Path sum binned by the meter functionals F_i = sum_j w_ij values[l_j].
 
-    The bin tolerance is BIN_TOL_FACTOR times the largest key increment
-    |w_ij values[l]|: it absorbs float non-associativity at the scale of
-    the keys without merging distinct lattice values. `basis` maps the
-    states out of the labeling basis (None keeps them there).
+    The bin tolerance of meter i is BIN_TOL_FACTOR times its largest key
+    increment |w_ij values[l]|: it absorbs float non-associativity at the
+    scale of that meter's keys without merging distinct lattice values,
+    whatever the scale of the other meters. `basis` maps the states out
+    of the labeling basis (None keeps them there).
     """
     inc = np.atleast_2d(weights).T[:, None, :] * np.asarray(values, float)[:, None]
-    tol = BIN_TOL_FACTOR * float(np.abs(inc).max())
+    tol = BIN_TOL_FACTOR * np.abs(inc).max(axis=(0, 1))
     keys, states = _class_sum(u, v0, steps, inc[:, None], tol)
     return BinnedAmplitudes(keys, states if basis is None else states @ basis.T, tol)
 

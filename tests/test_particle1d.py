@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -213,23 +216,95 @@ def rebuild_every_slice(values, kin_angle, base, coupling, F, symmetric):
     return psi
 
 
-@pytest.mark.parametrize("symmetric", [False, True])
-@pytest.mark.parametrize("beta", [
-    SwitchingFunction.constant(1.0),
-    SwitchingFunction.impulse(0.5),
-    SwitchingFunction.sampled(np.linspace(0.3, 1.7, 12)),
-    SwitchingFunction.sampled(np.repeat([0.3, 1.7, 0.3, 1.1], 3)),
-], ids=["constant", "impulse", "sampled", "piecewise"])
-def test_split_step_factor_reuse_is_bit_identical(beta, symmetric):
-    """Reusing the position factor while the slice couplings repeat gives
-    the same bytes as rebuilding it on every slice."""
+PIECEWISE = SwitchingFunction.sampled(np.repeat([0.3, 1.7, 0.3, 1.1], 3))
+
+
+def batch_args(beta, symmetric):
+    """An 8-row split-step stack on a 64-site lattice, N = 12, with lambda
+    from -3 to 3 across the rows."""
     psi = free_packet(n_x=64, dx=0.25, width=1.0, momentum=0.5)
     grid = TimeGrid(1.0, 12)
     w = slice_weights(beta, grid)
     kin_angle = particle1d._dispersion(psi, "spectral") * grid.eps
     base = np.exp(-1j * 0.1 * psi.x**2 * grid.eps)
     F = (np.abs(psi.x) < 2.0).astype(float)
-    args = (np.tile(psi.values, (8, 1)), kin_angle, base,
+    return (np.tile(psi.values, (8, 1)), kin_angle, base,
             np.outer(w, np.linspace(-3.0, 3.0, 8)), F, symmetric)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("beta", [
+    SwitchingFunction.constant(1.0),
+    SwitchingFunction.impulse(0.5),
+    SwitchingFunction.sampled(np.linspace(0.3, 1.7, 12)),
+    PIECEWISE,
+], ids=["constant", "impulse", "sampled", "piecewise"])
+def test_split_step_factor_reuse_is_bit_identical(beta, symmetric):
+    """Reusing the position factor while the slice couplings repeat gives
+    the same bytes as rebuilding it on every slice."""
+    args = batch_args(beta, symmetric)
     got = particle1d._split_step_batch(*args)
     assert np.array_equal(got, rebuild_every_slice(*args))
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("cpus", [2, 3, 5, 16])
+def test_split_step_row_blocks_are_bit_identical(monkeypatch, cpus, symmetric):
+    """8 rows in 2 blocks, 3 (2+3+3), 5 (1+2+1+2+2) and, with more CPUs
+    than rows, 8 blocks of one row: the bytes of one block and of the
+    out-of-place loop, with threads switching as often as the interpreter
+    allows."""
+    args = batch_args(PIECEWISE, symmetric)
+    monkeypatch.setattr(particle1d, "_usable_cpus", lambda: 1)
+    one = particle1d._split_step_batch(*args)
+    monkeypatch.setattr(particle1d, "_usable_cpus", lambda: cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = particle1d._split_step_batch(*args)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got.view(np.uint64), one.view(np.uint64))
+    ref = rebuild_every_slice(*args)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_split_step_leaves_the_start_alone(monkeypatch):
+    """Neither a start row nor a start stack of the caller is written to."""
+    monkeypatch.setattr(particle1d, "_usable_cpus", lambda: 3)
+    stack, *rest = batch_args(PIECEWISE, False)
+    for start in (stack[0], stack):
+        kept = start.copy()
+        out = particle1d._split_step_batch(start, *rest)
+        assert np.array_equal(start, kept)
+        assert not np.shares_memory(out, start)
+
+
+def test_split_step_worker_error_reaches_the_caller(monkeypatch):
+    """An exception in a worker thread is raised in the calling thread, after
+    every worker has been joined."""
+    caller, evolve = threading.current_thread(), particle1d._evolve_rows
+
+    def fail_in_workers(*block):
+        if threading.current_thread() is not caller:
+            raise FloatingPointError("worker block failed")
+        evolve(*block)
+
+    monkeypatch.setattr(particle1d, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(particle1d, "_evolve_rows", fail_in_workers)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="worker block failed"):
+        particle1d._split_step_batch(*batch_args(PIECEWISE, False))
+    assert threading.active_count() == before
+
+
+def test_single_row_spawns_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a single row started a thread")
+
+    monkeypatch.setattr(particle1d, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    psi = free_packet(n_x=64, dx=0.25)
+    cf = CoordinateFunctional(np.zeros(64), SwitchingFunction.constant(1.0))
+    out = particle1d.split_step_evolve(psi, np.zeros(64), TimeGrid(1.0, 8), 0.5, cf)
+    assert out.norm2() == pytest.approx(1.0, abs=1e-12)

@@ -224,6 +224,44 @@ class TestBinnedAmplitudes:
             assert bins.n_bins == 13
             assert np.linalg.norm(bins.total() - exact) <= 1e-12
 
+    def test_each_meter_has_its_own_bin_tolerance(self, qubit_h, coord_decomp, psi_plus):
+        """An impulse meter next to a constant meter of value 1e-9, N = 6:
+        the small meter keeps its resolution, giving the 12 bins (and the
+        same states) of a constant meter of value 1."""
+        grid = TimeGrid(1.0, 6)
+        bins = {v: pathsum.binned_measurement_amplitude(
+                    qubit_h, coord_decomp, grid, psi_plus, PathFunctionalSpec(
+                        grid, (SwitchingFunction.impulse(0.5), SwitchingFunction.constant(v))))
+                for v in (1.0, 1e-9)}
+        assert bins[1e-9].n_bins == bins[1.0].n_bins == 12
+        assert np.allclose(bins[1e-9].f_values[:, 1], 1e-9 * bins[1.0].f_values[:, 1],
+                           rtol=1e-12, atol=0.0)
+        assert np.abs(bins[1e-9].states - bins[1.0].states).max() <= 1e-15
+
+    def test_classes_snapped_to_one_key_are_summed(self, qubit_h, psi_plus):
+        """A tolerance below the float spacing of the keys (observable
+        diag(1, 2) * 1e9, N = 12) leaves classes of different bins that snap
+        to one key with one end label; the final scatter adds them, so the
+        bins still sum to the evolved state."""
+        dec = hilbert.spectral_decompose(np.diag([1.0, 2.0]) * 1e9)
+        grid = TimeGrid(1.0, 12)
+        u = pathsum._slice_transfer(qubit_h, dec, grid)
+        inc = (grid.eps * dec.eigenvalues)[:, None]
+        _, states = pathsum._class_sum(u, u @ dec.to_eigenbasis(psi_plus), grid.steps,
+                                       inc, tol=1e-6 * grid.eps)
+        exact = dec.to_eigenbasis(hilbert.exact_propagator(qubit_h, 1.0) @ psi_plus)
+        assert np.linalg.norm(states.sum(axis=0) - exact) <= 1e-12
+
+    def test_lone_class_keeps_its_bits(self):
+        """A class alone in its (key, end) slot is placed, not added to
+        zero, so a signed zero in its amplitude survives."""
+        v0 = np.array([complex(-0.0, 1.0), complex(2.0, 1.0)])
+        inc = np.array([0, 1])[None, None, :, None]
+        keys, states = pathsum._class_sum(np.eye(2, dtype=complex), v0, 1, inc)
+        assert keys.ravel().tolist() == [0, 1]
+        assert np.array_equal(states, np.diag(v0))
+        assert np.signbit(states[0, 0].real)
+
     def test_three_level_two_meters_brute_force(self):
         rng = np.random.default_rng(21)
         H = random_hermitian(rng, 3)
