@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blocks import row_cuts
 from .errors import GridMismatch
 from .meters import AmplitudeField, LambdaGrid, _check_grids, _to_readout
 from .pathsum import BinnedAmplitudes, _binned, _class_sum
@@ -122,16 +123,6 @@ def _check_lattice(psi: LatticeWavefunction, arrays) -> None:
             )
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    import os
-
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _run_blocks(evolve, rows: int) -> None:
     """Call evolve(lo, hi) on contiguous row blocks, one per usable CPU.
 
@@ -141,8 +132,7 @@ def _run_blocks(evolve, rows: int) -> None:
     """
     import threading
 
-    blocks = min(_usable_cpus(), rows)
-    cuts = [rows * i // blocks for i in range(blocks + 1)]
+    cuts = row_cuts(rows, rows)
     errors = []
 
     def guarded(lo, hi):
