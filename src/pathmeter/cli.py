@@ -49,7 +49,7 @@ from .meters import (
     marginal_residual,
     probabilities,
 )
-from .mensky import MenskyConfig, ReadoutRecord, record_evolve, weak_limit_check, weak_meter_array
+from .mensky import MenskyConfig, ReadoutRecord, record_states, weak_limit_check, weak_meter_array
 from .pathsum import binned_measurement_amplitude
 from .timegrid import PathFunctionalSpec, SwitchingFunction, TimeGrid, square_integral
 from .transforms import apply_kernel, finite_time_kernel, von_neumann_basis_change
@@ -310,11 +310,11 @@ class _Experiment:
         mensky = root.node("mensky", {})
         self.sigma = None
         if self.route == "mensky":
-            self.sigma = mensky.number("sigma", 1.0, positive=True)
+            self.sigma = self._sigma(mensky, 1.0)
             self.records = self._records(mensky)
         elif (self.route == "crosscheck" and mensky.value and len(meters) == 1
               and self.betas[0].kind != "impulse"):  # the weak-limit bound
-            self.sigma = mensky.number("sigma", positive=True)
+            self.sigma = self._sigma(mensky)
             beta = meters[0].node("beta")
             self.beta_square = beta.build(square_integral, self.betas[0], self.grid)
         if self.route == "transform":
@@ -341,6 +341,16 @@ class _Experiment:
         name, ctor = _KERNELS[k.kind(*_KERNELS)]
         value = k.number(name, positive=name == "width")
         return k.build(ctor, tuple(self.lgrids), (value,) * len(self.lgrids))
+
+    def _sigma(self, mensky: _Node, default=_REQUIRED) -> float:
+        """The tube width; the damping rate eps / sigma^2 and the weak-limit
+        bound need sigma^2 and eps / sigma^2 finite and > 0."""
+        sigma = mensky.number("sigma", default, positive=True)
+        s2 = sigma * sigma
+        if not (0 < s2 < math.inf and 0 < self.grid.eps / s2 < math.inf):
+            raise ConfigInvalid(mensky._at("sigma"), f"{sigma!r} puts sigma^2 or "
+                                f"eps / sigma^2 (eps = {self.grid.eps!r}) out of float range")
+        return sigma
 
     def _records(self, mensky: _Node) -> list:
         if isinstance(mensky.value.get("records"), list):
@@ -468,10 +478,10 @@ def _route_lambda(exp: _Experiment, bundle: ResultBundle):
 
 def _route_mensky(exp: _Experiment, bundle: ResultBundle) -> None:
     tols = exp.tolerances
-    cfg = MenskyConfig(exp.sigma)
+    states = record_states(exp.hamiltonian, exp.decomp, exp.grid, exp.records,
+                           MenskyConfig(exp.sigma), exp.psi0)
     norm2, dev = [], 0.0
-    for rec in exp.records:
-        a = record_evolve(exp.hamiltonian, exp.decomp, exp.grid, rec, cfg, exp.psi0)
+    for rec, a in zip(exp.records, states):
         b = weak_meter_array(exp.hamiltonian, exp.decomp, exp.grid, exp.sigma, exp.psi0, rec)
         norm2.append(float(np.vdot(a, a).real))
         dev = max(dev, float(np.linalg.norm(a - b)))

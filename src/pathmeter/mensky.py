@@ -60,19 +60,27 @@ class MenskyConfig:
             raise ValueError(f"tube width must be positive, got {self.sigma}")
 
 
-def record_evolve(H, A, grid: TimeGrid, record: ReadoutRecord,
-                  cfg: MenskyConfig, psi0) -> np.ndarray:
-    """Evolve conditioned on a record: prod_j D_j exp(-i H eps) |psi0>,
-    D_j = exp(-(phi_j - A)^2 eps / sigma^2) diagonal in A's eigenbasis."""
+def record_states(H, A, grid: TimeGrid, records, cfg: MenskyConfig, psi0) -> np.ndarray:
+    """Conditioned states prod_j D_j exp(-i H eps) |psi0>, one row per
+    record, shape (R, dim): the records evolve as the rows of one sliced
+    evolution, and slice j multiplies row r by the diagonal damping
+    D_rj = exp(-(phi_rj - A)^2 eps / sigma^2) in A's eigenbasis."""
     decomp = _as_decomp(A)
-    if record.grid != grid:
+    if any(rec.grid != grid for rec in records):
         raise DimensionMismatch("record built on a different time grid")
-    psi = decomp.to_eigenbasis(as_state(psi0, decomp.dim))
+    phi = np.array([rec.phi for rec in records])
     a = decomp.eigenvalues
     scale = grid.eps / cfg.sigma**2
-    psi = _sliced(_slice_transfer(H, decomp, grid), psi[None, :], record.phi,
-                  lambda p: np.exp(-((p - a) ** 2) * scale))[0]
-    return decomp.from_eigenbasis(psi)
+    rows = _sliced(_slice_transfer(H, decomp, grid),
+                   decomp.to_eigenbasis(as_state(psi0, decomp.dim)), phi.T,
+                   lambda p: np.exp(-((p[:, None] - a) ** 2) * scale))
+    return rows @ decomp.eigenvectors.T
+
+
+def record_evolve(H, A, grid: TimeGrid, record: ReadoutRecord,
+                  cfg: MenskyConfig, psi0) -> np.ndarray:
+    """Evolve conditioned on one record (see record_states)."""
+    return record_states(H, A, grid, [record], cfg, psi0)[0]
 
 
 def weak_meter_array(H, A, grid: TimeGrid, sigma: float, psi0,
@@ -113,11 +121,8 @@ def record_probability_scan(H, A, grid: TimeGrid, cfg: MenskyConfig, psi0,
     records = list(records)
     if not records:
         raise EmptyRecordSet("record scan needs at least one record")
-    out = []
-    for rec in records:
-        psi = record_evolve(H, A, grid, rec, cfg, psi0)
-        out.append((rec, float(np.vdot(psi, psi).real)))
-    return out
+    states = record_states(H, A, grid, records, cfg, psi0)
+    return [(rec, float(np.vdot(psi, psi).real)) for rec, psi in zip(records, states)]
 
 
 def weak_limit_check(H, A, grid: TimeGrid, beta: SwitchingFunction,

@@ -14,6 +14,12 @@ by marginal completeness: summing the field over the readout grid times
 the cell volume reproduces the lambda = 0 (undisturbed) evolution
 exactly, which fixes every eps/2pi factor at once.
 
+Every lambda point is one row of a stack that evolves through one loop,
+_sliced, shared with the transform and record routes. Its slice map is a
+real product over interleaved (re, im) pairs, with no setting: at d = 2 it
+is about twice as fast as the complex product (which BLAS runs as slowly
+as at d = 4), and as fast or slightly faster at d = 8 to 16.
+
 Fine fields are delta combs on the lattice of attainable functional
 values and are never interpreted as probabilities; convolving with a
 square-integrable kernel (coarse graining) models finite meter accuracy
@@ -149,26 +155,56 @@ def _as_grids(lgrids, n: int) -> tuple:
     return lgrids
 
 
+def _real_form(m: np.ndarray) -> np.ndarray:
+    """The real (2d, 2d) matrix that acts on rows of interleaved (re, im)
+    pairs as m acts on complex rows: block (j, k) is [[Re, Im], [-Im, Re]]
+    of m[j, k]."""
+    d = m.shape[0]
+    out = np.empty((d, 2, d, 2))
+    out[:, 0, :, 0] = out[:, 1, :, 1] = m.real
+    out[:, 0, :, 1] = m.imag
+    out[:, 1, :, 0] = -m.imag
+    return out.reshape(2 * d, 2 * d)
+
+
 def _sliced(u: np.ndarray, states: np.ndarray, weights, factor) -> np.ndarray:
-    """Sliced evolution of a (batch, d) stack of rows in u's basis: slice j
-    maps each row by u, then multiplies by the diagonal factor(weights[j]),
-    rebuilt only when weights[j] differs from weights[j-1]."""
-    uT, prev = u.T.copy(), None
-    for w in weights:
-        states = states @ uT
-        if prev is None or not np.array_equal(w, prev):
-            fac, prev = factor(w), w
-        states *= fac
-    return states
+    """Sliced evolution of a stack of rows (last axis d) in u's basis: slice
+    j maps each row by u, then multiplies by the diagonal factor(weights[j]),
+    rebuilt only where weights[j] differs from weights[j-1]. `states`
+    broadcasts against the factor's shape (one start row serves every
+    lambda) and is not modified.
+
+    The slice map multiplies the rows, viewed as interleaved (re, im)
+    float64 pairs of shape (batch, 2d), by the real form of u.T. Two
+    buffers take turns as source and destination, so the factor
+    multiplies in place.
+    """
+    weights = np.asarray(weights)
+    rows = weights.reshape(len(weights), -1)
+    changed = np.concatenate(([False], np.any(rows[1:] != rows[:-1], axis=1)))
+    uT = _real_form(u.T)
+    fac = factor(weights[0])
+    a = np.empty(np.broadcast_shapes(np.shape(states), fac.shape), dtype=complex)
+    a[...] = states
+    b = np.empty_like(a)
+    pa, pb = (z.reshape(-1, u.shape[0]).view(np.float64) for z in (a, b))
+    for w, new in zip(weights, changed):
+        if new:
+            fac = factor(w)
+        np.matmul(pa, uT, out=pb)
+        np.multiply(b, fac, out=b)
+        a, b, pa, pb = b, a, pb, pa
+    return a
 
 
 def _coupled(H, decomp: SpectralDecomposition, grid: TimeGrid, W: np.ndarray,
              lam_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Sliced evolution of a (batch, d) stack of eigenbasis rows, row b
-    coupled to the history lam_rows[b] @ W: each slice j applies
-    exp(-i H eps), then exp(-i (lam_rows[b] @ W[:, j]) A)."""
+    """Sliced evolution of eigenbasis rows coupled to the histories
+    lam_rows @ W, lam_rows of shape (..., M): each slice j applies
+    exp(-i H eps), then exp(-i (lam_rows @ W[:, j]) A). `rows` broadcasts
+    against lam_rows' leading shape plus the component axis."""
     return _sliced(_slice_transfer(H, decomp, grid), rows, W.T,
-                   lambda w: np.exp(-1j * np.outer(lam_rows @ w, decomp.eigenvalues)))
+                   lambda w: np.exp(-1j * ((lam_rows @ w)[..., None] * decomp.eigenvalues)))
 
 
 def _to_readout(values: np.ndarray, grids) -> np.ndarray:
@@ -297,8 +333,7 @@ def _lambda_states(H, A, grid, betas, lgrids, psi0) -> np.ndarray:
         raise GridTooSmall(f"lambda product grid of {np.prod(shape)} points is too large")
     mesh = np.meshgrid(*[g.lam for g in lgrids], indexing="ij")
     lam_rows = np.stack([m.reshape(-1) for m in mesh], axis=1)  # (G, M)
-    psi0_eig = decomp.to_eigenbasis(psi0)
-    states = _coupled(H, decomp, grid, W, lam_rows, np.tile(psi0_eig, (lam_rows.shape[0], 1)))
+    states = _coupled(H, decomp, grid, W, lam_rows, decomp.to_eigenbasis(psi0))
     states = states @ decomp.eigenvectors.T
     return states.reshape(shape + (decomp.dim,))
 

@@ -89,14 +89,16 @@ def _coupled_propagators(H, decomp: SpectralDecomposition, grid: TimeGrid,
                          beta: SwitchingFunction, lgrid: LambdaGrid) -> np.ndarray:
     """Full sliced propagators with coupling lam * beta * Z, one per grid
     point, shape (L, dim, dim), in the computational basis; the identity
-    columns of all points evolve as one (L * dim, dim) row stack."""
+    rows, broadcast over all points, evolve as one (L, dim, dim) stack."""
     W = slice_weights(beta, grid)[None, :]
     _check_grids(W, decomp.eigenvalues, (lgrid,))
     d = decomp.dim
-    eyes = np.tile(np.eye(d, dtype=complex), (lgrid.n_points, 1))
-    cols = _coupled(H, decomp, grid, W, np.repeat(lgrid.lam, d)[:, None], eyes)
+    # a phase of the stack's full shape keeps each slice's multiply flat;
+    # an (L, 1, dim) phase would broadcast over rows of length dim
+    cols = _coupled(H, decomp, grid, W, np.repeat(lgrid.lam, d).reshape(-1, d, 1),
+                    np.eye(d, dtype=complex))
     V = decomp.eigenvectors
-    return np.einsum("ab,mcb,dc->mad", V, cols.reshape(-1, d, d), V.conj())
+    return np.einsum("ab,mcb,dc->mad", V, cols, V.conj())
 
 
 def apply_kernel(kernel: OperatorKernel, field: AmplitudeField) -> AmplitudeField:

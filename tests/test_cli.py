@@ -161,6 +161,14 @@ class TestRun:
         ({"route": "paths"}, "meters[0].kernel"),
         ({"route": "mensky"}, "meters[0].kernel"),
         ({"route": "transform", "transform": TRANSFORM}, "meters[0].kernel"),
+        # a tube width whose square or damping rate eps / sigma^2 leaves float range
+        ({"route": "mensky", "meters": [PLAIN_METER], "mensky": {"sigma": 1e-200}},
+         "mensky.sigma"),
+        ({"route": "mensky", "meters": [PLAIN_METER], "mensky": {"sigma": 1e-160}},
+         "mensky.sigma"),
+        ({"route": "mensky", "meters": [PLAIN_METER], "mensky": {"sigma": 1e300}},
+         "mensky.sigma"),
+        ({"mensky": {"sigma": 1e300}}, "mensky.sigma"),
     ])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_bad_value_exits_2_and_names_it(self, tmp_path, capsys, override, field):

@@ -111,6 +111,22 @@ class TestRecordScan:
                 psi_plus, [rec])
         assert out[0][1] == pytest.approx(0.5, abs=1e-6)
 
+    def test_stacked_records_match_one_at_a_time(self, qubit_h, coord_decomp, psi_plus):
+        """All records evolve as rows of one sliced evolution; each row is
+        the single-record evolution and the weak-meter oracle."""
+        grid = TimeGrid(1.0, 10)
+        rng = np.random.default_rng(9)
+        recs = [ReadoutRecord(grid, rng.uniform(0.0, 3.0, size=10)) for _ in range(6)]
+        cfg = MenskyConfig(2.0)
+        rows = mensky.record_states(qubit_h, coord_decomp, grid, recs, cfg, psi_plus)
+        scan = mensky.record_probability_scan(qubit_h, coord_decomp, grid, cfg, psi_plus, recs)
+        for rec, row, (_, norm2) in zip(recs, rows, scan):
+            one = mensky.record_evolve(qubit_h, coord_decomp, grid, rec, cfg, psi_plus)
+            weak = mensky.weak_meter_array(qubit_h, coord_decomp, grid, 2.0, psi_plus, rec)
+            assert np.linalg.norm(row - one) <= 1e-13
+            assert np.linalg.norm(row - weak) <= 1e-13
+            assert norm2 == pytest.approx(float(np.vdot(one, one).real), abs=1e-13)
+
     def test_empty_rejected(self, coord_decomp, psi_plus):
         with pytest.raises(EmptyRecordSet):
             mensky.record_probability_scan(

@@ -359,11 +359,12 @@ PROFILES = {
 
 
 def rebuild_every_slice(u, states, weights, factor):
-    """Reference sliced evolution that builds the factor on every slice."""
-    uT = u.T.copy()
+    """Reference sliced evolution that builds the factor on every slice,
+    through the same real slice map as meters._sliced."""
+    uT = meters._real_form(u.T)
     for w in weights:
-        states = states @ uT
-        states *= factor(w)
+        states = (states.view(np.float64) @ uT).view(complex)
+        states = states * factor(w)
     return states
 
 
@@ -392,3 +393,50 @@ class TestSlicedReuse:
         got = meters._sliced(u, start, W.T, factor)
         assert len(builds) == runs
         assert np.array_equal(got, rebuild_every_slice(u, start, W.T, factor))
+
+
+def complex_slices(u, states, weights, factor):
+    """Reference sliced evolution with the plain complex product states @ u.T."""
+    for w in weights:
+        states = (states @ u.T) * factor(w)
+    return states
+
+
+SLICE_WEIGHTS = {
+    "constant": np.full(12, 0.25),
+    "impulse": (np.arange(12) == 5) * 1.0,
+    "sampled": np.linspace(0.3, 1.7, 12),
+}
+
+
+def slice_case(d, batch, seed=5):
+    """Random unitary u, start rows and a lambda-style factor."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    start = rng.normal(size=(batch, d)) + 1j * rng.normal(size=(batch, d))
+    lam, a = rng.normal(size=batch), rng.normal(size=d)
+    return u, start, lambda w: np.exp(-1j * np.outer(lam * w, a))
+
+
+class TestSliceMap:
+    """The real slice map in _sliced is the complex row product."""
+
+    @pytest.mark.parametrize("weights", sorted(SLICE_WEIGHTS))
+    @pytest.mark.parametrize("batch", [1, 7, 300])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_matches_complex_product(self, d, batch, weights):
+        u, start, factor = slice_case(d, batch)
+        kept = start.copy()
+        W = SLICE_WEIGHTS[weights]
+        got = meters._sliced(u, start, W, factor)
+        assert np.abs(got - complex_slices(u, start, W, factor)).max() <= 1e-13
+        assert np.array_equal(start, kept)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_broadcast_start_row_is_the_tiled_stack(self, d):
+        u, start, factor = slice_case(d, 300)
+        row = start[0].copy()
+        W = SLICE_WEIGHTS["sampled"]
+        got = meters._sliced(u, row, W, factor)
+        assert got.tobytes() == meters._sliced(u, np.tile(row, (300, 1)), W, factor).tobytes()
+        assert np.array_equal(row, start[0])
