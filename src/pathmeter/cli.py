@@ -5,11 +5,10 @@ and writes plot-ready CSV/JSON tables plus a residual report. One
 experiment per invocation; outputs are byte-stable for a fixed config
 and seed (timings go to stderr, never into the output files).
 
-A large CSV table is written in contiguous row blocks, one per CPU
-available to the process (at most one per CSV_BLOCK_CELLS cells): this
-process formats the first block, and a short-lived helper process running
-_csvrows.py formats each other block. The bytes are the same as one
-process writes, and there is no setting for it.
+Every float in the output is written as its repr, the shortest text that
+reads back as the same float. _floattext computes that text for whole
+arrays with numpy, in this process, and hands the few cells whose digits
+it cannot prove to repr itself, so the bytes are those of repr.
 
 Exit codes: 0 all residuals pass, 1 residual failure, 2 configuration or
 I/O error, 3 resource/grid cap (path cap, Nyquist, grid coverage).
@@ -18,11 +17,9 @@ I/O error, 3 resource/grid cap (path cap, Nyquist, grid coverage).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
-import shutil
 import sys
 import time
 from dataclasses import dataclass, field
@@ -53,16 +50,9 @@ from .mensky import MenskyConfig, ReadoutRecord, record_states, weak_limit_check
 from .pathsum import binned_measurement_amplitude
 from .timegrid import PathFunctionalSpec, SwitchingFunction, TimeGrid, square_integral
 from .transforms import apply_kernel, finite_time_kernel, von_neumann_basis_change
-from . import _csvrows, particle1d
-from ._blocks import row_cuts
+from . import _floattext, particle1d
 
 SCHEMA_VERSION = 1
-CSV_CELL_BYTES = 25  # longest float repr (24 characters) plus its separator
-CSV_BUFFER_MAX = 32 << 20
-CSV_CHUNK_CELLS = 8192
-# cells per extra CSV block: about 0.1 s of formatting, against about 26 ms
-# to start the helper process that formats it
-CSV_BLOCK_CELLS = 65536
 ROUTES = ("paths", "lambda", "mensky", "transform", "crosscheck")
 
 EXIT_PASS = 0
@@ -570,69 +560,12 @@ def _dump_json(outdir: str, name: str, doc) -> str:
     return path
 
 
-def _start_row_helper(cols: list, lo: int, hi: int, step: int, outdir: str):
-    """Start a process that formats rows lo:hi of the float64 columns; its
-    input and output are unlinked temporary files in outdir."""
-    import subprocess
-    import tempfile
-
-    with tempfile.TemporaryFile(dir=outdir) as block:
-        for col in cols:
-            block.write(np.ascontiguousarray(col[lo:hi]))
-        block.seek(0)
-        text = tempfile.TemporaryFile(dir=outdir)
-        try:
-            proc = subprocess.Popen(
-                [sys.executable, "-I", "-S", _csvrows.__file__,
-                 str(hi - lo), str(len(cols)), str(step)],
-                stdin=block, stdout=text)
-        except BaseException:
-            text.close()
-            raise
-    return proc, text
-
-
-def _write_csv(path: str, table: dict, outdir: str) -> None:
-    """Write one table as CSV, its rows cut into blocks by the table's size.
-
-    The calling process writes the header and the first block; each other
-    block is formatted meanwhile by a helper process (_start_row_helper)
-    and appended in row order. Every process formats with
-    _csvrows.write_rows, so the bytes do not depend on the cut.
-    """
-    cols = list(table.values())
-    rows = len(cols[0]) if cols else 0
-    # one write buffer for the whole table, sized from its shape alone
-    # (a float takes at most 24 characters): the table goes out in a few
-    # large writes, and every table of a shape allocates the same block, so
-    # peak memory does not depend on the values written
-    size = min(CSV_BUFFER_MAX, CSV_CELL_BYTES * len(cols) * (rows + 1))
-    # rows are formatted column by column, a bounded number of cells at
-    # a time: the strings of a whole table would take tens of MB
-    step = max(1, CSV_CHUNK_CELLS // max(len(cols), 1))
-    # helpers read float64 bytes: a column of another dtype keeps the
-    # table in this process
-    floats = all(col.dtype == np.float64 for col in cols)
-    cuts = row_cuts(rows, rows * len(cols) // CSV_BLOCK_CELLS if floats else 1)
-    helpers = []
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            helpers.append(_start_row_helper(cols, lo, hi, step, outdir))
-        with open(path, "w", encoding="utf-8", buffering=max(size, io.DEFAULT_BUFFER_SIZE)) as fh:
-            fh.write(",".join(table) + "\n")
-            _csvrows.write_rows(fh, cols, cuts[0], cuts[1], step)
-            fh.flush()
-            for proc, text in helpers:
-                if proc.wait() != 0:
-                    raise OSError(f"{path}: CSV row helper exited with code {proc.returncode}")
-                text.seek(0)
-                shutil.copyfileobj(text, fh.buffer)
-    finally:
-        for proc, text in helpers:
-            if proc.poll() is None:
-                proc.kill()
-            proc.wait()
-            text.close()
+def _write_csv(path: str, table: dict) -> None:
+    """Write one table as CSV: a header of its column names, then one row
+    per index, each float as its repr."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(table) + "\n").encode())
+        _floattext.write_rows(fh.write, list(table.values()))
 
 
 def emit(bundle: ResultBundle, fmt: str, outdir: str) -> list:
@@ -649,7 +582,7 @@ def emit(bundle: ResultBundle, fmt: str, outdir: str) -> list:
         doc = {
             "metadata": meta,
             "tables": {
-                name: {col: list(map(repr, vals.tolist())) for col, vals in table.items()}
+                name: {col: _floattext.texts(vals) for col, vals in table.items()}
                 for name, table in bundle.tables.items()
             },
             "residuals": bundle.residuals,
@@ -659,7 +592,7 @@ def emit(bundle: ResultBundle, fmt: str, outdir: str) -> list:
         raise ConfigInvalid("output.format", f"unknown format {fmt!r}")
     for name, table in bundle.tables.items():
         path = os.path.join(outdir, f"{name}.csv")
-        _write_csv(path, table, outdir)
+        _write_csv(path, table)
         written.append(path)
     written.append(_dump_json(outdir, "residuals.json", bundle.residuals))
     written.append(_dump_json(outdir, "metadata.json", meta))

@@ -58,6 +58,8 @@ class MenskyConfig:
     def __post_init__(self):
         if not (self.sigma > 0):
             raise ValueError(f"tube width must be positive, got {self.sigma}")
+        if not (0 < self.sigma * self.sigma < np.inf):
+            raise ValueError(f"tube width sigma = {self.sigma!r} puts sigma^2 out of float range")
 
 
 def record_states(H, A, grid: TimeGrid, records, cfg: MenskyConfig, psi0) -> np.ndarray:
@@ -71,6 +73,9 @@ def record_states(H, A, grid: TimeGrid, records, cfg: MenskyConfig, psi0) -> np.
     phi = np.array([rec.phi for rec in records])
     a = decomp.eigenvalues
     scale = grid.eps / cfg.sigma**2
+    if not (0 < scale < np.inf):
+        raise ValueError(f"damping rate eps / sigma^2 = {scale!r} (eps = {grid.eps!r}, "
+                         f"sigma = {cfg.sigma!r}) is not finite and > 0")
     rows = _sliced(_slice_transfer(H, decomp, grid),
                    decomp.to_eigenbasis(as_state(psi0, decomp.dim)), phi.T,
                    lambda p: np.exp(-((p[:, None] - a) ** 2) * scale))

@@ -25,11 +25,11 @@ boundary_mass provides the runtime check.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._blocks import row_cuts
 from .errors import GridMismatch
 from .meters import AmplitudeField, LambdaGrid, _check_grids, _to_readout
 from .pathsum import BinnedAmplitudes, _binned, _class_sum
@@ -123,6 +123,21 @@ def _check_lattice(psi: LatticeWavefunction, arrays) -> None:
             )
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def row_cuts(rows: int) -> list:
+    """Cut `rows` into max(1, min(usable CPUs, rows)) contiguous blocks;
+    block i holds rows cuts[i]:cuts[i + 1]."""
+    blocks = max(1, min(usable_cpus(), rows))
+    return [rows * i // blocks for i in range(blocks + 1)]
+
+
 def _run_blocks(evolve, rows: int) -> None:
     """Call evolve(lo, hi) on contiguous row blocks, one per usable CPU.
 
@@ -132,7 +147,7 @@ def _run_blocks(evolve, rows: int) -> None:
     """
     import threading
 
-    cuts = row_cuts(rows, rows)
+    cuts = row_cuts(rows)
     errors = []
 
     def guarded(lo, hi):

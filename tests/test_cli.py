@@ -7,14 +7,13 @@ import pathlib
 import subprocess
 import sys
 import tempfile
-import time
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pathmeter import _blocks, _csvrows, cli
+from pathmeter import _floattext, cli
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 NAN, INF = float("nan"), float("inf")
@@ -57,26 +56,6 @@ def run_main(tmp_path, cfg, *extra):
     path = write_config(tmp_path, cfg)
     out = str(tmp_path / "out")
     return cli.main(["run", path, "--out", out, *extra]), out
-
-
-@pytest.fixture
-def helpers(monkeypatch):
-    """Every CSV row helper process that cli starts, in start order."""
-    started = []
-    start = cli._start_row_helper
-
-    def record(*args):
-        proc, text = start(*args)
-        started.append(proc)
-        return proc, text
-
-    monkeypatch.setattr(cli, "_start_row_helper", record)
-    return started
-
-
-def three_blocks_per_table(monkeypatch):
-    monkeypatch.setattr(cli, "CSV_BLOCK_CELLS", 1)
-    monkeypatch.setattr(_blocks, "usable_cpus", lambda: 3)
 
 
 class TestRun:
@@ -336,55 +315,28 @@ class TestEmit:
         for f in sorted(p1.iterdir()):
             assert f.read_bytes() == (p2 / f.name).read_bytes(), f.name
 
-    def test_csv_bytes_do_not_depend_on_buffer_size(self, tmp_path, monkeypatch, helpers):
+    def test_csv_bytes_do_not_depend_on_buffer_size(self, tmp_path, monkeypatch):
         bundle = cli.run(copy.deepcopy(BASE_CONFIG))
         whole = cli.emit(bundle, "csv", str(tmp_path / "whole"))
-        monkeypatch.setattr(cli, "CSV_BUFFER_MAX", 1)  # default-size buffer, many flushes
-        pieces = cli.emit(bundle, "csv", str(tmp_path / "pieces"))
-        monkeypatch.setattr(cli, "CSV_CHUNK_CELLS", 1)  # one row formatted at a time
+        monkeypatch.setattr(_floattext, "SLAB_CELLS", 1)  # one row per slab
         rows = cli.emit(bundle, "csv", str(tmp_path / "rows"))
-        assert not helpers
-        three_blocks_per_table(monkeypatch)  # 256 field rows: blocks of 85, 85 and 86
-        blocks = cli.emit(bundle, "csv", str(tmp_path / "blocks"))
-        assert len(helpers) == 2 * len(bundle.tables)
-        assert all(proc.returncode == 0 for proc in helpers)
-        assert sorted(os.listdir(tmp_path / "blocks")) == sorted(os.listdir(tmp_path / "whole"))
+        monkeypatch.setattr(_floattext, "CHUNK_CELLS", 7)  # chunks cut inside rows
+        monkeypatch.setattr(_floattext, "SLAB_CELLS", 100)
+        chunks = cli.emit(bundle, "csv", str(tmp_path / "chunks"))
         assert (tmp_path / "whole" / "field.csv").stat().st_size > 2 * 8192
-        for paths in zip(whole, pieces, rows, blocks):
+        for paths in zip(whole, rows, chunks):
             assert len({pathlib.Path(p).read_bytes() for p in paths}) == 1, paths[0]
 
-    def test_non_float_table_is_written_in_process(self, tmp_path, monkeypatch, helpers):
-        three_blocks_per_table(monkeypatch)
+    def test_non_float_table_is_written_in_process(self, tmp_path):
         table = {"n": np.arange(6), "x": np.linspace(0.0, 1.0, 6)}
         cli.emit(cli.ResultBundle({}, {"t": table}, {}), "csv", str(tmp_path))
-        assert not helpers
         assert (tmp_path / "t.csv").read_text().splitlines()[-1] == "5,1.0"
 
-    def test_failed_helper_raises_and_every_helper_is_reaped(self, tmp_path, monkeypatch,
-                                                             helpers):
-        bundle = cli.run(copy.deepcopy(BASE_CONFIG))
-        first = f"{next(iter(bundle.tables))}.csv"
-        three_blocks_per_table(monkeypatch)
-        script = tmp_path / "helper.py"
-        monkeypatch.setattr(_csvrows, "__file__", str(script))
-        script.write_text("raise SystemExit(1)\n")
-        with pytest.raises(OSError, match=first):
-            cli.emit(bundle, "csv", str(tmp_path / "a"))
-        assert len(helpers) == 2 and helpers[0].returncode == 1
-        assert helpers[1].returncode is not None
-        helpers.clear()
-        assert run_main(tmp_path, BASE_CONFIG)[0] == cli.EXIT_CONFIG
-        assert len(helpers) == 2 and all(proc.returncode is not None for proc in helpers)
-        # the writer fails while its helpers still run: they are killed
-        helpers.clear()
-        script.write_text("import time\ntime.sleep(60)\n")
-        (tmp_path / "b" / first).mkdir(parents=True)
-        t0 = time.monotonic()
-        with pytest.raises(OSError):
-            cli.emit(bundle, "csv", str(tmp_path / "b"))
-        assert time.monotonic() - t0 < 30
-        assert len(helpers) == 2 and all(proc.returncode is not None for proc in helpers)
-        assert os.listdir(tmp_path / "b") == [first]  # the helpers' files were unlinked
+    def test_unwritable_table_exits_2(self, tmp_path, capsys):
+        (tmp_path / "out" / "bins.csv").mkdir(parents=True)
+        code, _ = run_main(tmp_path, BASE_CONFIG)
+        assert code == cli.EXIT_CONFIG
+        assert "I/O error" in capsys.readouterr().err
 
     def test_out_flag_overrides_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -431,15 +383,17 @@ class TestEmit:
 
 
 def test_import_loads_no_subprocess_module():
-    """Helpers are started only by a writer that needs them, so the import
-    that every run pays stays as it was."""
+    """The import that every run pays loads no process machinery and no
+    exact-arithmetic module: the float tables are built from integers on
+    the first write."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    probe = "import sys, pathmeter.cli; print('subprocess' in sys.modules)"
+    probe = ("import sys, pathmeter.cli; "
+             "print(sorted({'subprocess', 'fractions', 'decimal'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 # Size fields never take a value above 64 here: oversized runs are not yet

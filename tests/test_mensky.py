@@ -54,6 +54,23 @@ class TestRecordEvolve:
         assert all(a >= b - 1e-13 for a, b in zip(norms, norms[1:]))
         assert norms[0] <= 1.0 + 1e-13
 
+    @pytest.mark.parametrize("sigma", [1e-200, 1e300])
+    def test_sigma_squared_out_of_range_rejected(self, sigma):
+        """sigma^2 underflows to 0 or overflows: the config refuses it, before
+        the record route divides by it (ZeroDivisionError, OverflowError)."""
+        with pytest.raises(ValueError, match="sigma"):
+            MenskyConfig(sigma)
+
+    @pytest.mark.parametrize("total, sigma", [(1.0, 1e-160), (4e-300, 1e150)])
+    def test_damping_rate_out_of_range_rejected(self, coord_decomp, total, sigma):
+        """sigma^2 is in range but eps / sigma^2 is inf (subnormal sigma^2)
+        or 0."""
+        grid = TimeGrid(total, 4)
+        rec = ReadoutRecord.constant(grid, 1.0)
+        with pytest.raises(ValueError, match="eps / sigma"):
+            mensky.record_evolve(np.zeros((2, 2)), coord_decomp, grid, rec,
+                                 MenskyConfig(sigma), [1, 0])
+
     def test_record_length_checked(self):
         with pytest.raises(LengthMismatch):
             ReadoutRecord(TimeGrid(1.0, 4), (1.0, 2.0))

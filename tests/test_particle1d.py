@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from pathmeter import _blocks, hilbert, meters, particle1d
+from pathmeter import hilbert, meters, particle1d
 from pathmeter.errors import GridMismatch
 from pathmeter.meters import LambdaGrid
 from pathmeter.particle1d import CoordinateFunctional, LatticeWavefunction
@@ -255,9 +255,9 @@ def test_split_step_row_blocks_are_bit_identical(monkeypatch, cpus, symmetric):
     out-of-place loop, with threads switching as often as the interpreter
     allows."""
     args = batch_args(PIECEWISE, symmetric)
-    monkeypatch.setattr(_blocks, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(particle1d, "usable_cpus", lambda: 1)
     one = particle1d._split_step_batch(*args)
-    monkeypatch.setattr(_blocks, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(particle1d, "usable_cpus", lambda: cpus)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -271,7 +271,7 @@ def test_split_step_row_blocks_are_bit_identical(monkeypatch, cpus, symmetric):
 
 def test_split_step_leaves_the_start_alone(monkeypatch):
     """Neither a start row nor a start stack of the caller is written to."""
-    monkeypatch.setattr(_blocks, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(particle1d, "usable_cpus", lambda: 3)
     stack, *rest = batch_args(PIECEWISE, False)
     for start in (stack[0], stack):
         kept = start.copy()
@@ -290,7 +290,7 @@ def test_split_step_worker_error_reaches_the_caller(monkeypatch):
             raise FloatingPointError("worker block failed")
         evolve(*block)
 
-    monkeypatch.setattr(_blocks, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(particle1d, "usable_cpus", lambda: 3)
     monkeypatch.setattr(particle1d, "_evolve_rows", fail_in_workers)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match="worker block failed"):
@@ -302,7 +302,7 @@ def test_single_row_spawns_no_thread(monkeypatch):
     def no_thread(*args, **kwargs):
         raise AssertionError("a single row started a thread")
 
-    monkeypatch.setattr(_blocks, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(particle1d, "usable_cpus", lambda: 4)
     monkeypatch.setattr(threading, "Thread", no_thread)
     psi = free_packet(n_x=64, dx=0.25)
     cf = CoordinateFunctional(np.zeros(64), SwitchingFunction.constant(1.0))
