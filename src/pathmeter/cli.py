@@ -31,6 +31,7 @@ from .errors import (
     CapExceeded,
     ConfigInvalid,
     GridTooSmall,
+    LengthMismatch,
     NyquistViolation,
     PathMeterError,
 )
@@ -392,9 +393,22 @@ class _Experiment:
 # ---------------------------------------------------------------- tables
 
 
+def _readout_columns(values) -> dict:
+    """Readout columns from one 1-D array per meter: `f` for one meter,
+    `f_0` ... `f_{M-1}` for more."""
+    if len(values) == 1:
+        return {"f": values[0]}
+    return {f"f_{i}": v for i, v in enumerate(values)}
+
+
+def _grid_columns(grids) -> dict:
+    """Readout columns over the product grid in C order, one row per node."""
+    mesh = np.meshgrid(*[g.f for g in grids], indexing="ij")
+    return _readout_columns([m.reshape(-1) for m in mesh])
+
+
 def _field_table(field) -> dict:
-    g = field.grids[0]
-    cols = {"f": g.f.copy()}
+    cols = _grid_columns(field.grids)
     states = field.states
     for k in range(states.shape[-1]):
         cols[f"re_{k}"] = states[..., k].real.reshape(-1)
@@ -403,13 +417,8 @@ def _field_table(field) -> dict:
 
 
 def _bins_table(binned) -> dict:
-    cols = {}
-    M = binned.f_values.shape[1]
-    if M == 1:
-        cols["f"] = binned.f_values[:, 0].copy()
-    else:
-        for i in range(M):
-            cols[f"f_{i}"] = binned.f_values[:, i].copy()
+    cols = _readout_columns([binned.f_values[:, i].copy()
+                             for i in range(binned.f_values.shape[1])])
     for k in range(binned.states.shape[1]):
         cols[f"re_{k}"] = binned.states[:, k].real.copy()
         cols[f"im_{k}"] = binned.states[:, k].imag.copy()
@@ -458,8 +467,8 @@ def _route_lambda(exp: _Experiment, bundle: ResultBundle):
         bundle.tables["coarse_field"] = _field_table(coarse)
         if kernel.normalizable:
             table = probabilities(coarse)
-            g = coarse.grids[0]
-            bundle.tables["probabilities"] = {"f": g.f.copy(), "W": table.weights.reshape(-1)}
+            bundle.tables["probabilities"] = {**_grid_columns(coarse.grids),
+                                              "W": table.weights.reshape(-1)}
             expected = kernel.squared_mass() * float(np.vdot(exp.psi0, exp.psi0).real)
             res_w = abs(table.total_mass() - expected)
             bundle.residuals["probability_mass"] = _residual(res_w, tols["probability_mass"])
@@ -573,8 +582,14 @@ def emit(bundle: ResultBundle, fmt: str, outdir: str) -> list:
 
     CSV mode: one file per table (readout column first) plus
     residuals.json and metadata.json. JSON mode: a single result.json.
-    Output is byte-stable for identical config and seed.
+    Output is byte-stable for identical config and seed. A table whose
+    columns differ in length raises LengthMismatch before any file is
+    written.
     """
+    for name, table in bundle.tables.items():
+        lengths = sorted({len(col) for col in table.values()})
+        if len(lengths) > 1:
+            raise LengthMismatch(f"table {name!r} has columns of lengths {lengths}")
     os.makedirs(outdir, exist_ok=True)
     written = []
     meta = dict(bundle.metadata)  # timings excluded: not reproducible
@@ -629,6 +644,9 @@ def main(argv=None) -> int:
         written = emit(bundle, args.format or bundle.format, outdir)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except LengthMismatch as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for name, rep in sorted(bundle.residuals.items()):
         status = "pass" if rep["pass"] else "FAIL"

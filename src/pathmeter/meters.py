@@ -15,10 +15,15 @@ the cell volume reproduces the lambda = 0 (undisturbed) evolution
 exactly, which fixes every eps/2pi factor at once.
 
 Every lambda point is one row of a stack that evolves through one loop,
-_sliced, shared with the transform and record routes. Its slice map is a
-real product over interleaved (re, im) pairs, with no setting: at d = 2 it
-is about twice as fast as the complex product (which BLAS runs as slowly
-as at d = 4), and as fast or slightly faster at d = 8 to 16.
+_sliced, shared with the transform and record routes. It splits the
+slices into runs of equal weights, on which every slice has the same map
+M = diag(factor) u. A long run is raised to its length by binary
+powering of a batch-last (d, d, rows) operator stack, so a constant
+coupling costs floor(log2 N) operator products, not N slice maps; an
+operation count from n and d decides, with no setting. Other runs loop
+the slice map, a real product over interleaved (re, im) pairs: at d = 2
+it is about twice as fast as the complex product (which BLAS runs as
+slowly as at d = 4), and as fast or slightly faster at d = 8 to 16.
 
 Fine fields are delta combs on the lattice of attainable functional
 values and are never interpreted as probabilities; convolving with a
@@ -167,33 +172,106 @@ def _real_form(m: np.ndarray) -> np.ndarray:
     return out.reshape(2 * d, 2 * d)
 
 
+# cells of one (d, d, rows) operator stack in a row block of a powered run.
+# A block holds three such stacks (two operator buffers and a product
+# temporary) and three row buffers no larger: at most 768 KiB of
+# complex128 while d * max(d, e) <= 2^13, e the rows per factor row. Past
+# that a block holds one factor row: operator buffers of d^2 cells and row
+# buffers of d e. Blocks of 2^12 to 2^14 cells ran fastest.
+_BLOCK_CELLS = 2**13
+
+
+def _power_pays(n: int, d: int) -> bool:
+    """Whether a run of n equal slices costs less per row as a power than
+    as n slice maps. Counted in d^2 cells per row: floor(log2 n) squarings
+    of d^3 and popcount(n) row products of d^2, against n slice maps of
+    d^2. A batch-last product runs elementwise, not through BLAS, and
+    costs about 4 + d/2 times as much per cell (measured 3 to 12 times
+    for d = 1 to 16), which the count weighs in."""
+    return (8 + d) * ((n.bit_length() - 1) * d + bin(n).count("1")) < 2 * n
+
+
+def _product(p: np.ndarray, x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out[k, i, r] = sum_j p[k, j, r] x[j, i, r]: a batch-last stack of
+    d x d operators, shape (d, d, rows), times x of shape (d, m, rows).
+    Each step is one elementwise product over m x rows cells, so the
+    rows stay contiguous and no call runs per matrix."""
+    np.multiply(p[:, 0, None], x[0], out=out)
+    for j in range(1, p.shape[0]):
+        np.multiply(p[:, j, None], x[j], out=tmp)
+        out += tmp
+    return out
+
+
+def _power_rows(u: np.ndarray, fac: np.ndarray, n: int, a: np.ndarray) -> None:
+    """a[..., r, :] <- (diag(fac[r]) u)^n a[..., r, :] in place, by binary
+    powering: rows share their factor row's operator stack, which is
+    squared floor(log2 n) times and applied once per set bit of n, one
+    block of at most _BLOCK_CELLS operator cells at a time. `a`'s leading
+    shape ends with fac's leading shape."""
+    d = u.shape[0]
+    fac = fac.reshape(-1, d)
+    x = a.reshape(-1, len(fac), d)
+    e = x.shape[0]
+    step = max(1, _BLOCK_CELLS // (d * max(d, e)))
+    for s in range(0, len(fac), step):
+        blk = fac[s:s + step]
+        p = np.multiply(u[:, :, None], blk.T[:, None, :])
+        q, tmp = np.empty_like(p), np.empty_like(p)
+        rows = np.ascontiguousarray(x[:, s:s + step].transpose(2, 0, 1))
+        out, rtmp = np.empty_like(rows), np.empty_like(rows)
+        bits = n
+        while True:
+            if bits & 1:
+                rows, out = _product(p, rows, out, rtmp), rows
+            bits >>= 1
+            if not bits:
+                break
+            p, q = _product(p, p, q, tmp), p
+        x[:, s:s + step] = rows.transpose(1, 2, 0)
+
+
 def _sliced(u: np.ndarray, states: np.ndarray, weights, factor) -> np.ndarray:
     """Sliced evolution of a stack of rows (last axis d) in u's basis: slice
-    j maps each row by u, then multiplies by the diagonal factor(weights[j]),
-    rebuilt only where weights[j] differs from weights[j-1]. `states`
-    broadcasts against the factor's shape (one start row serves every
-    lambda) and is not modified.
+    j maps each row by u, then multiplies by the diagonal factor(weights[j]).
+    `states` broadcasts against the factor's shape (one start row serves
+    every lambda; (d, 1, d) identity columns give the propagators) and is
+    not modified.
 
-    The slice map multiplies the rows, viewed as interleaved (re, im)
-    float64 pairs of shape (batch, 2d), by the real form of u.T. Two
-    buffers take turns as source and destination, so the factor
-    multiplies in place.
+    The slices split into runs of equal weights, and the factor is built
+    once per run. A run of n slices applies M^n, M = diag(factor) u:
+    - when _power_pays(n, d), each row's M^n comes from binary powering
+      of a batch-last (d, d, rows) operator stack (_power_rows);
+    - else, and always for n = 1, the run loops the slice map. That map
+      multiplies the rows, viewed as interleaved (re, im) float64 pairs of
+      shape (batch, 2d), by the real form of u.T; two buffers take turns
+      as source and destination, so the factor multiplies in place.
+    So sampled weights keep the loop's bytes, and a constant-coupling
+    meter costs floor(log2 N) operator products instead of N slice maps.
     """
     weights = np.asarray(weights)
     rows = weights.reshape(len(weights), -1)
-    changed = np.concatenate(([False], np.any(rows[1:] != rows[:-1], axis=1)))
+    starts = np.flatnonzero(np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1))))
+    d = u.shape[0]
     uT = _real_form(u.T)
     fac = factor(weights[0])
     a = np.empty(np.broadcast_shapes(np.shape(states), fac.shape), dtype=complex)
     a[...] = states
     b = np.empty_like(a)
-    pa, pb = (z.reshape(-1, u.shape[0]).view(np.float64) for z in (a, b))
-    for w, new in zip(weights, changed):
-        if new:
-            fac = factor(w)
-        np.matmul(pa, uT, out=pb)
-        np.multiply(b, fac, out=b)
-        a, b, pa, pb = b, a, pb, pa
+    pa, pb = (z.reshape(-1, d).view(np.float64) for z in (a, b))
+    for j, n in zip(starts, np.diff(np.append(starts, len(weights)))):
+        if j:
+            fac = factor(weights[j])
+        n = int(n)
+        if n > 1 and _power_pays(n, d):
+            if a.shape[a.ndim - fac.ndim:] != fac.shape:
+                fac = np.broadcast_to(fac, a.shape)
+            _power_rows(u, fac, n, a)
+        else:
+            for _ in range(n):
+                np.matmul(pa, uT, out=pb)
+                np.multiply(b, fac, out=b)
+                a, b, pa, pb = b, a, pb, pa
     return a
 
 
@@ -510,7 +588,7 @@ def fourier_consistency_check(field: AmplitudeField, H, A, grid: TimeGrid,
     by point, the evolution driven by the coupling history
     lambda(t) = sum_i lambda_i beta_i(t). The initial state is recovered
     from the field itself: the marginal is the undisturbed evolution of
-    psi0, which is inverted slice by slice.
+    psi0, which is inverted by the N-th power of the adjoint slice map.
     """
     if field.kind != "fine":
         raise ValueError("consistency check is defined for fine fields")
@@ -518,9 +596,8 @@ def fourier_consistency_check(field: AmplitudeField, H, A, grid: TimeGrid,
     decomp = _as_decomp(A)
     lam_states = _to_lambda(field.states, field.grids)
     u = _slice_transfer(H, decomp, grid)
-    psi0_eig = decomp.to_eigenbasis(field.marginal())
-    for _ in range(grid.steps):
-        psi0_eig = u.conj().T @ psi0_eig
+    psi0_eig = np.linalg.matrix_power(u.conj().T, grid.steps) @ decomp.to_eigenbasis(
+        field.marginal())
     psi0 = decomp.from_eigenbasis(psi0_eig)
     direct = _lambda_states(H, decomp, grid, betas, field.grids, psi0)
     return float(np.max(np.linalg.norm(lam_states - direct, axis=-1)))

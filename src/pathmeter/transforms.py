@@ -88,17 +88,17 @@ def finite_time_kernel(H, A, B, grid: TimeGrid, betaA: SwitchingFunction,
 def _coupled_propagators(H, decomp: SpectralDecomposition, grid: TimeGrid,
                          beta: SwitchingFunction, lgrid: LambdaGrid) -> np.ndarray:
     """Full sliced propagators with coupling lam * beta * Z, one per grid
-    point, shape (L, dim, dim), in the computational basis; the identity
-    rows, broadcast over all points, evolve as one (L, dim, dim) stack."""
+    point, shape (L, dim, dim), in the computational basis. The identity
+    columns start as one (dim, 1, dim) stack that broadcasts against the
+    (L, dim) coupling phases, so every grid point's dim columns share its
+    slice operator, and a constant beta's U(lam) is that operator's power."""
     W = slice_weights(beta, grid)[None, :]
     _check_grids(W, decomp.eigenvalues, (lgrid,))
     d = decomp.dim
-    # a phase of the stack's full shape keeps each slice's multiply flat;
-    # an (L, 1, dim) phase would broadcast over rows of length dim
-    cols = _coupled(H, decomp, grid, W, np.repeat(lgrid.lam, d).reshape(-1, d, 1),
-                    np.eye(d, dtype=complex))
+    cols = _coupled(H, decomp, grid, W, lgrid.lam[:, None],
+                    np.eye(d, dtype=complex)[:, None, :])
     V = decomp.eigenvectors
-    return np.einsum("ab,mcb,dc->mad", V, cols, V.conj())
+    return np.einsum("ak,imk,ei->mae", V, cols, V.conj())
 
 
 def apply_kernel(kernel: OperatorKernel, field: AmplitudeField) -> AmplitudeField:

@@ -14,6 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pathmeter import _floattext, cli
+from pathmeter.errors import LengthMismatch
+from pathmeter.hilbert import exact_propagator
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 NAN, INF = float("nan"), float("inf")
@@ -259,6 +261,30 @@ class TestRun:
         high = W[f >= 1.5].sum()
         assert low / (low + high) == pytest.approx(0.5, abs=1e-9)
 
+    def test_two_meter_lambda_tables_cover_the_product_grid(self, tmp_path):
+        cfg = json.loads((CONFIGS / "qubit_crosscheck.json").read_text())
+        cfg["route"] = "lambda"
+        cfg["meters"] = [{"beta": {"kind": "impulse", "t0": t0},
+                          "grid": {"points": 32, "df": 0.5}} for t0 in (0.25, 0.75)]
+        cfg["meters"][0]["kernel"] = {"kind": "gaussian", "width": 1.5}
+        code, out = run_main(tmp_path, cfg)
+        assert code == cli.EXIT_PASS
+        f = (np.arange(32) - 16) * 0.5
+        tables = {}
+        for name in ("field", "coarse_field", "probabilities"):
+            header, *rows = (tmp_path / "out" / f"{name}.csv").read_text().splitlines()
+            data = np.array([[float(v) for v in r.split(",")] for r in rows])
+            assert header.split(",")[:2] == ["f_0", "f_1"]
+            assert data.shape[0] == 32 * 32
+            assert np.array_equal(data[:, 0], np.repeat(f, 32))
+            assert np.array_equal(data[:, 1], np.tile(f, 32))
+            tables[name] = data
+        field = tables["field"]
+        marginal = (field[:, 2::2] + 1j * field[:, 3::2]).sum(axis=0) * 0.5 * 0.5
+        exp = cli._Experiment(cfg)
+        undisturbed = exact_propagator(exp.hamiltonian, 1.0) @ exp.psi0
+        assert np.abs(marginal - undisturbed).max() < 1e-12
+
     def test_mensky_route(self, tmp_path):
         cfg = copy.deepcopy(BASE_CONFIG)
         cfg["route"] = "mensky"
@@ -331,6 +357,13 @@ class TestEmit:
         table = {"n": np.arange(6), "x": np.linspace(0.0, 1.0, 6)}
         cli.emit(cli.ResultBundle({}, {"t": table}, {}), "csv", str(tmp_path))
         assert (tmp_path / "t.csv").read_text().splitlines()[-1] == "5,1.0"
+
+    def test_ragged_table_is_refused_before_any_file(self, tmp_path):
+        table = {"f": np.arange(4.0), "x": np.arange(16.0)}
+        bundle = cli.ResultBundle({}, {"a": {"y": np.ones(3)}, "t": table}, {})
+        with pytest.raises(LengthMismatch, match="'t'"):
+            cli.emit(bundle, "csv", str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_table_exits_2(self, tmp_path, capsys):
         (tmp_path / "out" / "bins.csv").mkdir(parents=True)

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pathmeter import hilbert, meters, pathsum, timegrid
+from pathmeter import hilbert, mensky, meters, pathsum, timegrid, transforms
 from pathmeter.errors import (
     FineFieldNotNormalizable,
     GridMismatch,
@@ -356,11 +358,12 @@ PROFILES = {
     "constant+impulse": ((SwitchingFunction.constant(1.0),
                           SwitchingFunction.impulse(0.5)), 3),
 }
+EPS = np.finfo(float).eps
 
 
 def rebuild_every_slice(u, states, weights, factor):
-    """Reference sliced evolution that builds the factor on every slice,
-    through the same real slice map as meters._sliced."""
+    """Reference sliced evolution that builds the factor and applies the
+    real slice map of meters._sliced on every slice, with no powering."""
     uT = meters._real_form(u.T)
     for w in weights:
         states = (states.view(np.float64) @ uT).view(complex)
@@ -368,9 +371,18 @@ def rebuild_every_slice(u, states, weights, factor):
     return states
 
 
+def power_bound(states, n_slices, d):
+    """Agreement bound of powered runs with the slice-by-slice loop:
+    2 N d eps times the largest start entry. Binary powering rounds about
+    as often per slice as the loop does (measured below 0.6 N d eps over
+    TestPowering's cases, unitary slices, up to N = 4096)."""
+    return 2 * n_slices * d * EPS * np.abs(states).max()
+
+
 class TestSlicedReuse:
     """Reusing the factor while the slice weights repeat is bit-identical
-    to rebuilding it on every slice."""
+    to rebuilding it on every slice. On 12 slices the operation count
+    powers no run, so every profile loops."""
 
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_lambda_phases(self, profile):
@@ -393,6 +405,158 @@ class TestSlicedReuse:
         got = meters._sliced(u, start, W.T, factor)
         assert len(builds) == runs
         assert np.array_equal(got, rebuild_every_slice(u, start, W.T, factor))
+
+
+def slice_weights_of(kind, n):
+    """Slice weights of n slices: one run, three runs of which two have
+    zero weight, four runs, or n runs."""
+    if kind == "constant":
+        return np.full(n, 0.25)
+    if kind == "impulse":
+        return (np.arange(n) == n // 2) * 1.0
+    if kind == "piecewise":
+        return np.array([0.3, 1.7, 0.3, 1.1])[np.arange(n) * 4 // n]
+    return np.linspace(0.3, 1.7, n)
+
+
+def run_lengths(weights):
+    edges = np.flatnonzero(np.diff(weights)) + 1
+    return np.diff(np.concatenate(([0], edges, [len(weights)])))
+
+
+@pytest.fixture
+def always_power(monkeypatch):
+    """Power every run longer than one slice, whatever the operation count."""
+    monkeypatch.setattr(meters, "_power_pays", lambda n, d: True)
+
+
+class TestPowering:
+    """Runs of equal weights raised to their length agree with the
+    slice-by-slice loop, whether the operation count picks the power or
+    the power is forced."""
+
+    @pytest.mark.parametrize("kind", ["constant", "impulse", "piecewise", "sampled"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 511, 512, 513, 4096])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_matches_the_loop(self, d, n, kind, monkeypatch):
+        u, start, factor = slice_case(d, 16)
+        W = slice_weights_of(kind, n)
+        want = rebuild_every_slice(u, start, W, factor)
+        got = meters._sliced(u, start, W, factor)
+        assert np.abs(got - want).max() <= power_bound(start, n, d)
+        monkeypatch.setattr(meters, "_power_pays", lambda n, d: True)
+        forced = meters._sliced(u, start, W, factor)
+        assert np.abs(forced - want).max() <= power_bound(start, n, d)
+        if kind == "sampled":
+            assert got.tobytes() == want.tobytes() == forced.tobytes()
+
+    @pytest.mark.parametrize("kind", ["constant", "impulse", "piecewise"])
+    def test_broadcast_start_row(self, kind, always_power):
+        u, start, factor = slice_case(3, 300)
+        row = start[0].copy()
+        W = slice_weights_of(kind, 513)
+        got = meters._sliced(u, row, W, factor)
+        want = meters._sliced(u, np.tile(row, (300, 1)), W, factor)
+        assert np.abs(got - want).max() <= power_bound(row, 513, 3)
+        assert np.array_equal(row, start[0])
+
+    def test_factor_broadcast_inside_the_stack(self, always_power):
+        """A factor of shape (4, 1, d) on a (4, 7, d) stack: the 7 rows of
+        each group share their group's factor row."""
+        rng = np.random.default_rng(6)
+        u, _, _ = slice_case(3, 1)
+        start = rng.normal(size=(4, 7, 3)) + 1j * rng.normal(size=(4, 7, 3))
+        lam, a = rng.normal(size=(4, 1, 1)), rng.normal(size=3)
+
+        def factor(w):
+            return np.exp(-1j * lam * w * a)
+
+        W = slice_weights_of("constant", 513)
+        want = rebuild_every_slice(u, start, W, factor)
+        got = meters._sliced(u, start, W, factor)
+        assert np.abs(got - want).max() <= power_bound(start, 513, 3)
+
+    @pytest.mark.parametrize("kind", ["constant", "impulse", "piecewise"])
+    def test_row_blocks_do_not_change_the_bytes(self, kind, monkeypatch):
+        u, start, factor = slice_case(3, 300)
+        W = slice_weights_of(kind, 4096)
+        whole = meters._sliced(u, start, W, factor)
+        monkeypatch.setattr(meters, "_BLOCK_CELLS", 9 * 7)  # 43 blocks of 7 rows
+        assert meters._sliced(u, start, W, factor).tobytes() == whole.tobytes()
+
+    def test_operation_count(self):
+        """The count's choice at measured points (512 and 4,096 equal
+        slices, 2,048 rows at d = 8, 8,192 at d = 2): the finite-time
+        readout (N = 512, d = 2) powers, and so does d = 8 at N = 4,096
+        (32 ms against 183 ms looped); a single slice, a short run
+        (N = 18) and d = 8 or 16 at N = 512 loop."""
+        assert meters._power_pays(512, 2) and meters._power_pays(4096, 8)
+        assert not any(meters._power_pays(1, d) for d in (1, 2, 3, 5, 8))
+        assert not meters._power_pays(18, 2)
+        assert not meters._power_pays(512, 8) and not meters._power_pays(512, 16)
+
+    @pytest.mark.parametrize("kind", ["constant", "impulse", "piecewise", "sampled"])
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_counts(self, d, kind, monkeypatch):
+        """One factor build per run, and floor(log2 n) squarings for each
+        run that the operation count powers."""
+        u, start, factor = slice_case(d, 16)
+        W = slice_weights_of(kind, 4096)
+        builds, squarings = [], []
+        product = meters._product
+
+        def counted(p, x, out, tmp):
+            squarings.append(p is x)
+            return product(p, x, out, tmp)
+
+        monkeypatch.setattr(meters, "_product", counted)
+        meters._sliced(u, start, W, lambda w: builds.append(w) or factor(w))
+        runs = run_lengths(W)
+        assert len(builds) == len(runs)
+        assert sum(squarings) == sum(int(n).bit_length() - 1 for n in runs
+                                     if meters._power_pays(int(n), d))
+
+    def test_transform_stack(self, always_power):
+        """_coupled_propagators' U(lam) is the ordered slice product."""
+        rng = np.random.default_rng(8)
+        H = random_hermitian(rng, 3)
+        decomp = hilbert.spectral_decompose(random_hermitian(rng, 3))
+        grid = TimeGrid(1.0, 40)
+        lgrid = LambdaGrid.from_df(16, 0.5)
+        for beta in (SwitchingFunction.constant(0.7), SwitchingFunction.impulse(0.3)):
+            got = transforms._coupled_propagators(H, decomp, grid, beta, lgrid)
+            u = pathsum._slice_transfer(H, decomp, grid)
+            w = timegrid.slice_weights(beta, grid)
+            V = decomp.eigenvectors
+            for m, lam in enumerate(lgrid.lam):
+                U = np.eye(3, dtype=complex)
+                for wj in w:
+                    U = np.exp(-1j * lam * wj * decomp.eigenvalues)[:, None] * (u @ U)
+                assert np.abs(got[m] - V @ U @ V.conj().T).max() <= power_bound(U, 40, 3)
+
+    def test_record_route(self, qubit_h, coord_decomp, psi_plus):
+        """Constant records make one run, which the operation count powers
+        at N = 512; the weak meter array evolves slice by slice."""
+        grid = TimeGrid(1.0, 512)
+        recs = [mensky.ReadoutRecord.constant(grid, v) for v in (0.2, 1.0, 1.7)]
+        cfg = mensky.MenskyConfig(2.0)
+        got = mensky.record_states(qubit_h, coord_decomp, grid, recs, cfg, psi_plus)
+        for rec, state in zip(recs, got):
+            want = mensky.weak_meter_array(qubit_h, coord_decomp, grid, 2.0, psi_plus, rec)
+            assert np.abs(state - want).max() <= power_bound(psi_plus, 512, 2)
+
+    def test_block_memory(self, always_power):
+        """A powered run adds at most one row block's buffers to the peak of
+        the loop, which is the evolution without powering."""
+        u, start, factor = slice_case(16, 4096)
+        peaks = []
+        for W in (slice_weights_of("sampled", 512), slice_weights_of("constant", 512)):
+            tracemalloc.start()
+            meters._sliced(u, start, W, factor)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        budget = 6 * meters._BLOCK_CELLS * 16  # six complex128 buffers of a block
+        assert peaks[1] <= peaks[0] + budget
 
 
 def complex_slices(u, states, weights, factor):
