@@ -328,9 +328,22 @@ class _Experiment:
         return spectral_decompose(A)
 
     def _kernel(self, k: _Node) -> CoarseGrainKernel:
-        """One meter's kernel, over every meter's grid."""
+        """One meter's kernel, over every meter's grid. A gaussian about df wide
+        has its symbol cut off at the grid edge: refused when probability_mass
+        would read its mass gap (Parseval) above its sums' rounding and the tolerance."""
         name, ctor = _KERNELS[k.kind(*_KERNELS)]
         value = k.number(name, positive=name == "width")
+        if name == "width":
+            lam_mass = f_mass = 1.0
+            for g in self.lgrids:  # both masses are products over the meter axes
+                axis = CoarseGrainKernel.gaussian(g, value)
+                lam_mass *= np.sum(np.abs(axis.symbol()) ** 2) * g.dlam / (2 * np.pi)
+                f_mass *= axis.squared_mass()
+            gap = abs(lam_mass - f_mass) * float(np.vdot(self.psi0, self.psi0).real)
+            rounding = f_mass * np.finfo(float).eps * np.prod([g.n_points for g in self.lgrids])
+            if abs(lam_mass - f_mass) > rounding and gap > self.tolerances["probability_mass"]:
+                raise ConfigInvalid(k._at(name), f"{value!r} is too narrow for the grid: "
+                                    f"probability_mass would read {gap:.2e}")
         return k.build(ctor, tuple(self.lgrids), (value,) * len(self.lgrids))
 
     def _sigma(self, mensky: _Node, default=_REQUIRED) -> float:

@@ -15,15 +15,14 @@ the cell volume reproduces the lambda = 0 (undisturbed) evolution
 exactly, which fixes every eps/2pi factor at once.
 
 Every lambda point is one row of a stack that evolves through one loop,
-_sliced, shared with the transform and record routes. It splits the
-slices into runs of equal weights, on which every slice has the same map
-M = diag(factor) u. A long run is raised to its length by binary
-powering of a batch-last (d, d, rows) operator stack, so a constant
-coupling costs floor(log2 N) operator products, not N slice maps; an
-operation count from n and d decides, with no setting. Other runs loop
-the slice map, a real product over interleaved (re, im) pairs: at d = 2
-it is about twice as fast as the complex product (which BLAS runs as
-slowly as at d = 4), and as fast or slightly faster at d = 8 to 16.
+_sliced, shared with the transform and record routes and the lattice
+particle. It splits the slices into runs of equal weights. For a finite
+system's matrix map, an operation count from n and d decides, with no
+setting, whether a run of n slices is raised to its length by binary
+powering, so a constant coupling costs floor(log2 N) operator products,
+not N slice maps. Other runs loop the slice map: a real product over
+interleaved (re, im) pairs (twice the complex product's speed at d = 2),
+or the lattice's FFT kinetic step.
 
 Fine fields are delta combs on the lattice of attainable functional
 values and are never interpreted as probabilities; convolving with a
@@ -231,48 +230,51 @@ def _power_rows(u: np.ndarray, fac: np.ndarray, n: int, a: np.ndarray) -> None:
         x[:, s:s + step] = rows.transpose(1, 2, 0)
 
 
-def _sliced(u: np.ndarray, states: np.ndarray, weights, factor) -> np.ndarray:
-    """Sliced evolution of a stack of rows (last axis d) in u's basis: slice
-    j maps each row by u, then multiplies by the diagonal factor(weights[j]).
+def _sliced(u, states: np.ndarray, weights, factor, out: np.ndarray | None = None) -> np.ndarray:
+    """Sliced evolution of a stack of rows: slice j applies the slice map u
+    to each row, then multiplies by the diagonal factor(weights[j]).
     `states` broadcasts against the factor's shape (one start row serves
-    every lambda; (d, 1, d) identity columns give the propagators) and is
-    not modified.
+    every lambda; (d, 1, d) identity columns give the propagators); the
+    rows evolve in `out` if given, which may be `states` itself.
 
-    The slices split into runs of equal weights, and the factor is built
-    once per run. A run of n slices applies M^n, M = diag(factor) u:
-    - when _power_pays(n, d), each row's M^n comes from binary powering
-      of a batch-last (d, d, rows) operator stack (_power_rows);
-    - else, and always for n = 1, the run loops the slice map. That map
-      multiplies the rows, viewed as interleaved (re, im) float64 pairs of
-      shape (batch, 2d), by the real form of u.T; two buffers take turns
-      as source and destination, so the factor multiplies in place.
-    So sampled weights keep the loop's bytes, and a constant-coupling
-    meter costs floor(log2 N) operator products instead of N slice maps.
+    u is a callable that maps a row stack in place (the lattice's FFT
+    kinetic step), or a d x d matrix, applied to rows of interleaved
+    (re, im) pairs as the real form of u.T, two buffers taking turns. The
+    factor is built once per run of equal weights. A matrix run of n
+    slices with _power_pays(n, d) applies (diag(factor) u)^n by binary
+    powering (_power_rows); every other run loops the slice map.
     """
     weights = np.asarray(weights)
     rows = weights.reshape(len(weights), -1)
     starts = np.flatnonzero(np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1))))
-    d = u.shape[0]
-    uT = _real_form(u.T)
     fac = factor(weights[0])
-    a = np.empty(np.broadcast_shapes(np.shape(states), fac.shape), dtype=complex)
+    a = np.empty(np.broadcast_shapes(np.shape(states), fac.shape), complex) if out is None else out
     a[...] = states
-    b = np.empty_like(a)
-    pa, pb = (z.reshape(-1, d).view(np.float64) for z in (a, b))
+    step = u
+    if not callable(u):
+        uT, pair = _real_form(u.T), (a, np.empty_like(a))
+        flat = [z.reshape(-1, u.shape[0]).view(np.float64) for z in pair]
+
+        def step(src):
+            i = src is pair[1]
+            np.matmul(flat[i], uT, out=flat[1 - i])
+            return pair[1 - i]
+
     for j, n in zip(starts, np.diff(np.append(starts, len(weights)))):
         if j:
             fac = factor(weights[j])
         n = int(n)
-        if n > 1 and _power_pays(n, d):
+        if not callable(u) and n > 1 and _power_pays(n, u.shape[0]):
             if a.shape[a.ndim - fac.ndim:] != fac.shape:
                 fac = np.broadcast_to(fac, a.shape)
             _power_rows(u, fac, n, a)
         else:
             for _ in range(n):
-                np.matmul(pa, uT, out=pb)
-                np.multiply(b, fac, out=b)
-                a, b, pa, pb = b, a, pb, pa
-    return a
+                a = step(a)
+                np.multiply(a, fac, out=a)
+    if out is not None and a is not out:  # a matrix map's spare buffer holds the rows
+        out[...] = a
+    return a if out is None else out
 
 
 def _coupled(H, decomp: SpectralDecomposition, grid: TimeGrid, W: np.ndarray,
@@ -401,11 +403,12 @@ def aligned_grid(beta: SwitchingFunction, grid: TimeGrid,
 
 def _lambda_states(H, A, grid, betas, lgrids, psi0) -> np.ndarray:
     """Raw coupled evolutions over the full lambda product grid,
-    shape (L_1, ..., L_M, dim)."""
+    shape (L_1, ..., L_M, dim), once the grids pass _check_grids."""
     betas = _as_betas(betas)
     decomp = _as_decomp(A)
     lgrids = _as_grids(lgrids, len(betas))
     W = np.stack([slice_weights(b, grid) for b in betas])
+    _check_grids(W, decomp.eigenvalues, lgrids)
     shape = tuple(g.n_points for g in lgrids)
     if int(np.prod(shape)) > _MAX_GRID_POINTS:
         raise GridTooSmall(f"lambda product grid of {np.prod(shape)} points is too large")
@@ -423,12 +426,8 @@ def amplitude_field(H, A, grid: TimeGrid, betas, lgrids, psi0) -> AmplitudeField
     axis with weight dlam_i / (2 pi), so the field obeys the marginal
     completeness identity sum_f field * cell = undisturbed state.
     """
-    betas = _as_betas(betas)
-    decomp = _as_decomp(A)
-    lgrids = _as_grids(lgrids, len(betas))
-    W = np.stack([slice_weights(b, grid) for b in betas])
-    _check_grids(W, decomp.eigenvalues, lgrids)
-    states = _lambda_states(H, decomp, grid, betas, lgrids, psi0)
+    lgrids = _as_grids(lgrids, len(_as_betas(betas)))
+    states = _lambda_states(H, A, grid, betas, lgrids, psi0)
     return AmplitudeField(lgrids, _to_readout(states, lgrids), kind="fine")
 
 
@@ -592,7 +591,6 @@ def fourier_consistency_check(field: AmplitudeField, H, A, grid: TimeGrid,
     """
     if field.kind != "fine":
         raise ValueError("consistency check is defined for fine fields")
-    betas = _as_betas(betas)
     decomp = _as_decomp(A)
     lam_states = _to_lambda(field.states, field.grids)
     u = _slice_transfer(H, decomp, grid)

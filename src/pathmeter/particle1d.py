@@ -8,16 +8,14 @@ Fourier-transforming gives the readout amplitude field for, e.g., the
 time a trajectory dwells inside a region (F = indicator, beta = 1/T) or
 the mean position (F = x).
 
-Evolution is first-order split: kinetic step in momentum space (spectral
-p^2/2m dispersion, or the 3-point finite-difference dispersion
-(1 - cos k dx)/(m dx^2) when matching the dense lattice oracle), then
-all position-diagonal phases. Real couplings keep the evolution exactly
-unitary, so the lattice norm is conserved to rounding.
-
-The lambda rows evolve independently, so the evolution splits them into
-contiguous blocks, one per CPU available to the process, each evolved in
-place on its own thread. Results are bit-identical to one thread, and
-there is no setting for it.
+Each slice is a kinetic step in momentum space (spectral p^2/2m
+dispersion, or the 3-point finite-difference dispersion
+(1 - cos k dx)/(m dx^2) when matching the dense lattice oracle), then all
+position-diagonal phases, run by meters._sliced, the one sliced-evolution
+loop of every system; symmetric splitting adds a half step at either end.
+Real couplings keep the evolution exactly unitary, so the lattice norm is
+conserved to rounding. The lambda rows evolve in contiguous blocks, one
+per usable CPU, each on its own thread, with the bytes of one thread.
 
 Domains must be sized so nothing reaches the periodic boundary;
 boundary_mass provides the runtime check.
@@ -31,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch
-from .meters import AmplitudeField, LambdaGrid, _check_grids, _to_readout
+from .meters import AmplitudeField, LambdaGrid, _check_grids, _sliced, _to_readout
 from .pathsum import BinnedAmplitudes, _binned, _class_sum
 from .timegrid import SwitchingFunction, TimeGrid, slice_weights
 
@@ -131,15 +129,9 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def row_cuts(rows: int) -> list:
-    """Cut `rows` into max(1, min(usable CPUs, rows)) contiguous blocks;
-    block i holds rows cuts[i]:cuts[i + 1]."""
-    blocks = max(1, min(usable_cpus(), rows))
-    return [rows * i // blocks for i in range(blocks + 1)]
-
-
 def _run_blocks(evolve, rows: int) -> None:
-    """Call evolve(lo, hi) on contiguous row blocks, one per usable CPU.
+    """Call evolve(lo, hi) on max(1, min(usable CPUs, rows)) contiguous
+    row blocks; block i holds rows cuts[i]:cuts[i + 1].
 
     The calling thread runs the first block and short-lived threads the
     others; all are joined before return, and a worker's exception is
@@ -147,7 +139,8 @@ def _run_blocks(evolve, rows: int) -> None:
     """
     import threading
 
-    cuts = row_cuts(rows)
+    blocks = max(1, min(usable_cpus(), rows))
+    cuts = [rows * i // blocks for i in range(blocks + 1)]
     errors = []
 
     def guarded(lo, hi):
@@ -169,52 +162,50 @@ def _run_blocks(evolve, rows: int) -> None:
         raise errors[0]
 
 
-def _kinetic_step(p: np.ndarray, kin: np.ndarray) -> None:
+def _kinetic(p: np.ndarray, kin: np.ndarray) -> np.ndarray:
+    """The kinetic step with phases kin, in place on the row stack p."""
     np.fft.fft(p, axis=-1, out=p)
     np.multiply(kin, p, out=p)  # kin first: `p *= kin` rounds differently
-    np.fft.ifft(p, axis=-1, out=p)
+    return np.fft.ifft(p, axis=-1, out=p)
 
 
-def _evolve_rows(p: np.ndarray, fac: np.ndarray, kin: np.ndarray, base: np.ndarray,
-                 coupling: np.ndarray, F: np.ndarray, symmetric: bool) -> None:
+def _evolve_block(p: np.ndarray, fac: np.ndarray, kin: np.ndarray, base: np.ndarray,
+                  coupling: np.ndarray, F: np.ndarray) -> None:
     """Evolve the row block p in place; fac is its factor buffer."""
-    prev = None
-    for c in coupling:
-        _kinetic_step(p, kin)
-        if prev is None or not np.array_equal(c, prev):
-            np.multiply.outer(c, F, out=fac)
-            np.multiply(-1j, fac, out=fac)
-            np.exp(fac, out=fac)
-            np.multiply(base, fac, out=fac)
-            prev = c
-        p *= fac
-        if symmetric:
-            _kinetic_step(p, kin)
+    def factor(c):
+        np.multiply.outer(c, F, out=fac)
+        np.multiply(-1j, fac, out=fac)
+        np.exp(fac, out=fac)
+        return np.multiply(base, fac, out=fac)
+
+    _sliced(lambda q: _kinetic(q, kin), p, coupling, factor, out=p)
 
 
 def _split_step_batch(start: np.ndarray, kin_angle: np.ndarray,
                       base: np.ndarray, coupling: np.ndarray, F: np.ndarray,
                       symmetric: bool) -> np.ndarray:
     """Advance a (batch, n_x) stack through all slices: slice j applies the
-    kinetic step (kin_angle is the full-step phase angle), then the
-    position-diagonal factor base * exp(-i coupling[j, b] F) on row b, with
-    half kinetic steps on both sides when symmetric. coupling is (N, batch)
-    and `start` broadcasts to the stack (one row serves every lambda); it
-    is not modified. The factor is rebuilt only when coupling[j] differs
-    from coupling[j-1].
+    kinetic step K (kin_angle is the full-step phase angle), then the
+    position-diagonal factor V_j = base * exp(-i coupling[j, b] F) on row b.
+    coupling is (N, batch) and `start` broadcasts to the stack (one row
+    serves every lambda); it is not modified. Symmetric (Strang) slices
+    K_h V_j K_h, K_h a half step, are the same loop between two end points:
+    prod_j K_h V_j K_h = K_h (prod_j V_j K) K_-h.
 
     Rows are independent, so contiguous row blocks evolve in place on
     separate threads (see _run_blocks); every row gets the same bytes
-    whatever the split. All buffers are allocated here, before any thread
-    starts.
+    whatever the split. All buffers are allocated before any thread starts.
     """
-    kin = np.exp(-0.5j * kin_angle if symmetric else -1j * kin_angle)
     fac = np.empty((coupling.shape[1], F.size), dtype=complex)
     psi = np.empty_like(fac)
     psi[...] = start
-    _run_blocks(lambda lo, hi: _evolve_rows(psi[lo:hi], fac[lo:hi], kin, base,
-                                            coupling[:, lo:hi], F, symmetric),
-                psi.shape[0])
+    if symmetric:
+        _kinetic(psi, np.exp(0.5j * kin_angle))
+    kin = np.exp(-1j * kin_angle)
+    _run_blocks(lambda lo, hi: _evolve_block(psi[lo:hi], fac[lo:hi], kin, base,
+                                             coupling[:, lo:hi], F), psi.shape[0])
+    if symmetric:
+        _kinetic(psi, np.exp(-0.5j * kin_angle))
     return psi
 
 

@@ -261,6 +261,30 @@ class TestRun:
         high = W[f >= 1.5].sum()
         assert low / (low + high) == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("points, df, width, tol, code", [
+        (16, 0.5, 0.5, 1e-6, cli.EXIT_CONFIG),  # probability_mass would read 1.0e-2
+        (256, 0.05, 0.05, 1e-6, cli.EXIT_CONFIG),  # 1.0e-3
+        (16, 0.5, 0.8, 1e-6, cli.EXIT_CONFIG),  # 7.4e-6
+        (16, 0.5, 0.8, 1e-5, cli.EXIT_PASS),
+        (16, 0.5, 1.0, 1e-6, cli.EXIT_PASS),  # 7.8e-9
+        (256, 0.05, 0.08, 1e-6, cli.EXIT_PASS),  # 7.0e-7
+        # a gap at rounding level is not the width's doing: the residual fails
+        (256, 0.05, 0.5, -1.0, cli.EXIT_RESIDUAL),
+    ])
+    def test_narrow_gaussian_kernel_is_a_config_error(self, tmp_path, capsys,
+                                                      points, df, width, tol, code):
+        """A gaussian kernel about df wide has its lambda symbol cut off at
+        the grid edge, which would fail probability_mass; the config is
+        refused and the width named instead."""
+        cfg = json.loads((CONFIGS / "qubit_crosscheck.json").read_text())
+        cfg["route"] = "lambda"
+        cfg["tolerances"] = {"probability_mass": tol}
+        cfg["meters"] = [{"beta": {"kind": "impulse", "t0": 0.5},
+                          "grid": {"points": points, "df": df},
+                          "kernel": {"kind": "gaussian", "width": width}}]
+        assert run_main(tmp_path, cfg)[0] == code
+        assert ("meters[0].kernel.width" in capsys.readouterr().err) == (code == cli.EXIT_CONFIG)
+
     def test_two_meter_lambda_tables_cover_the_product_grid(self, tmp_path):
         cfg = json.loads((CONFIGS / "qubit_crosscheck.json").read_text())
         cfg["route"] = "lambda"

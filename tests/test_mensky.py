@@ -4,7 +4,7 @@ import pytest
 from pathmeter import hilbert, mensky, meters
 from pathmeter.errors import EmptyRecordSet, ImpulseNotSquareIntegrable, LengthMismatch
 from pathmeter.mensky import MenskyConfig, ReadoutRecord
-from pathmeter.timegrid import SwitchingFunction, TimeGrid
+from pathmeter.timegrid import SwitchingFunction, TimeGrid, square_integral
 
 
 def closed_form_free(psi0, eigenvalues, phi, T, sigma):
@@ -179,6 +179,20 @@ class TestWeakLimit:
                                       [sigma], psi_plus, g)
         lam_max = np.abs(g.lam).max()
         assert res[0] < 1.1 * lam_max**2 * sigma**2 / 4.0
+
+    def test_matches_the_evolved_states(self, qubit_h, coord_decomp, beta_avg):
+        """The residual taken from psi0's norm is the one taken from the
+        norms of the evolved lambda states, for a start of norm 3."""
+        grid, g = self._setup(qubit_h, coord_decomp, beta_avg)
+        psi0 = np.array([1.0 + 2.0j, 2.0])
+        sigmas = [4e-3, 1e-3]
+        norms = np.linalg.norm(
+            meters._lambda_states(qubit_h, coord_decomp, grid, beta_avg, g, psi0), axis=-1)
+        i_beta = square_integral(beta_avg, grid)
+        want = [np.max(np.abs(np.exp(-g.lam**2 * s**2 * i_beta / 4) - 1.0) * norms)
+                for s in sigmas]
+        got = mensky.weak_limit_check(qubit_h, coord_decomp, grid, beta_avg, sigmas, psi0, g)
+        assert got == pytest.approx(want, rel=1e-13)
 
     def test_impulse_rejected(self, qubit_h, coord_decomp, psi_plus):
         grid = TimeGrid(1.0, 8)

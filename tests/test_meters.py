@@ -604,3 +604,47 @@ class TestSliceMap:
         got = meters._sliced(u, row, W, factor)
         assert got.tobytes() == meters._sliced(u, np.tile(row, (300, 1)), W, factor).tobytes()
         assert np.array_equal(row, start[0])
+
+
+class TestCallableMap:
+    """_sliced with a slice map given as a callable, and with out=."""
+
+    @pytest.mark.parametrize("weights", sorted(SLICE_WEIGHTS))
+    def test_matches_complex_product(self, weights):
+        u, start, factor = slice_case(3, 7)
+        W = SLICE_WEIGHTS[weights]
+
+        def step(rows):
+            rows[...] = rows @ u.T
+            return rows
+
+        out = start.copy()
+        got = meters._sliced(step, out, W, factor, out=out)
+        assert got is out
+        assert np.abs(got - complex_slices(u, start, W, factor)).max() <= 1e-13
+
+    def test_callable_is_never_powered(self):
+        """A run that a matrix map powers loops a callable map slice by slice."""
+        u, start, factor = slice_case(2, 7)
+        assert meters._power_pays(4096, 2)
+        calls = []
+
+        def step(rows):
+            calls.append(1)
+            rows[...] = rows @ u.T
+            return rows
+
+        meters._sliced(step, start, np.full(4096, 0.25), factor)
+        assert len(calls) == 4096
+
+    @pytest.mark.parametrize("n", [11, 12, 4096])
+    def test_out_holds_the_rows_of_a_matrix_map(self, n):
+        """The matrix map's two buffers alternate, so after an odd or even
+        number of slices, or a powered run, out holds the result's bytes."""
+        u, start, factor = slice_case(2, 7)
+        W = np.linspace(0.3, 1.7, n) if n < 100 else np.full(n, 0.25)
+        want = meters._sliced(u, start, W, factor)
+        out = np.empty_like(want)
+        got = meters._sliced(u, start, W, factor, out=out)
+        assert got is out
+        assert got.tobytes() == want.tobytes()

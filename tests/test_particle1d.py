@@ -205,6 +205,7 @@ def test_symmetric_splitting_is_second_order():
 
 def rebuild_every_slice(values, kin_angle, base, coupling, F, symmetric):
     """Reference split-step loop that builds the position factor on every
+    slice; symmetric puts a half kinetic step on both sides of every
     slice."""
     kin = np.exp(-0.5j * kin_angle if symmetric else -1j * kin_angle)
     psi = values
@@ -216,7 +217,24 @@ def rebuild_every_slice(values, kin_angle, base, coupling, F, symmetric):
     return psi
 
 
+def end_point_reference(values, kin_angle, base, coupling, F, symmetric):
+    """rebuild_every_slice's first-order loop; symmetric puts an inverse
+    half kinetic step before it and a half step after it, the end points of
+    prod K_h V K_h = K_h (prod V K) K_-h."""
+    if not symmetric:
+        return rebuild_every_slice(values, kin_angle, base, coupling, F, False)
+    psi = np.fft.ifft(np.exp(0.5j * kin_angle) * np.fft.fft(values, axis=-1), axis=-1)
+    psi = rebuild_every_slice(psi, kin_angle, base, coupling, F, False)
+    return np.fft.ifft(np.exp(-0.5j * kin_angle) * np.fft.fft(psi, axis=-1), axis=-1)
+
+
 PIECEWISE = SwitchingFunction.sampled(np.repeat([0.3, 1.7, 0.3, 1.1], 3))
+PROFILES = pytest.mark.parametrize("beta", [
+    SwitchingFunction.constant(1.0),
+    SwitchingFunction.impulse(0.5),
+    SwitchingFunction.sampled(np.linspace(0.3, 1.7, 12)),
+    PIECEWISE,
+], ids=["constant", "impulse", "sampled", "piecewise"])
 
 
 def batch_args(beta, symmetric):
@@ -233,18 +251,24 @@ def batch_args(beta, symmetric):
 
 
 @pytest.mark.parametrize("symmetric", [False, True])
-@pytest.mark.parametrize("beta", [
-    SwitchingFunction.constant(1.0),
-    SwitchingFunction.impulse(0.5),
-    SwitchingFunction.sampled(np.linspace(0.3, 1.7, 12)),
-    PIECEWISE,
-], ids=["constant", "impulse", "sampled", "piecewise"])
+@PROFILES
 def test_split_step_factor_reuse_is_bit_identical(beta, symmetric):
     """Reusing the position factor while the slice couplings repeat gives
     the same bytes as rebuilding it on every slice."""
     args = batch_args(beta, symmetric)
     got = particle1d._split_step_batch(*args)
-    assert np.array_equal(got, rebuild_every_slice(*args))
+    assert np.array_equal(got, end_point_reference(*args))
+
+
+@PROFILES
+def test_symmetric_end_points_match_per_slice_strang(beta):
+    """Symmetric splitting by its end-point rule is, to rounding, the loop
+    with half kinetic steps on both sides of every slice."""
+    args = batch_args(beta, True)
+    got = particle1d._split_step_batch(*args)
+    ref = rebuild_every_slice(*args)
+    norm = np.linalg.norm(ref, axis=-1)
+    assert np.all(np.linalg.norm(got - ref, axis=-1) <= 1e-12 * norm)
 
 
 @pytest.mark.parametrize("symmetric", [False, True])
@@ -265,7 +289,7 @@ def test_split_step_row_blocks_are_bit_identical(monkeypatch, cpus, symmetric):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(got.view(np.uint64), one.view(np.uint64))
-    ref = rebuild_every_slice(*args)
+    ref = end_point_reference(*args)
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
@@ -283,7 +307,7 @@ def test_split_step_leaves_the_start_alone(monkeypatch):
 def test_split_step_worker_error_reaches_the_caller(monkeypatch):
     """An exception in a worker thread is raised in the calling thread, after
     every worker has been joined."""
-    caller, evolve = threading.current_thread(), particle1d._evolve_rows
+    caller, evolve = threading.current_thread(), particle1d._evolve_block
 
     def fail_in_workers(*block):
         if threading.current_thread() is not caller:
@@ -291,7 +315,7 @@ def test_split_step_worker_error_reaches_the_caller(monkeypatch):
         evolve(*block)
 
     monkeypatch.setattr(particle1d, "usable_cpus", lambda: 3)
-    monkeypatch.setattr(particle1d, "_evolve_rows", fail_in_workers)
+    monkeypatch.setattr(particle1d, "_evolve_block", fail_in_workers)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match="worker block failed"):
         particle1d._split_step_batch(*batch_args(PIECEWISE, False))
