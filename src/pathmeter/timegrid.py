@@ -4,7 +4,7 @@ The window [0, T] is cut into N slices of width eps = T/N with left
 endpoints t_j = (j-1) eps, j = 1..N; all per-slice data are left-endpoint
 samples. A switching function beta(t) describes when a meter couples:
 
-  impulse(t0)   -- fires once in the slice containing t0 (von Neumann),
+  impulse(t0)   -- fires once, at the first slice end >= t0 (von Neumann),
   constant(c)   -- couples uniformly (finite-time / time-average meter),
   sampled(v_j)  -- arbitrary per-slice profile (continuous-measurement limit).
 
@@ -73,9 +73,13 @@ class SwitchingFunction:
 def slice_weights(beta: SwitchingFunction, grid: TimeGrid) -> np.ndarray:
     """Per-slice weights w_j with sum_j w_j phi(t_j) ~ int beta phi dt.
 
-    Impulses get weight exactly 1 on their slice (no smearing): the meter
-    reads off the instantaneous value. Constant and sampled profiles get
-    plain left-endpoint Riemann weights beta(t_j) * eps.
+    Impulses get weight exactly 1 on one slice (no smearing): the meter
+    reads off the instantaneous value. A slice's coupling acts at its end,
+    so an impulse at t0 goes on slice m - 1 (slice 0 if m = 0), m the least
+    node index with m eps >= t0, counting t0 / eps within 1e-9 of an integer
+    as that integer: an impulse on a node acts there whatever the rounding.
+    Constant and sampled profiles get plain left-endpoint Riemann weights
+    beta(t_j) * eps.
     """
     N = grid.steps
     if beta.kind == "impulse":
@@ -84,8 +88,7 @@ def slice_weights(beta: SwitchingFunction, grid: TimeGrid) -> np.ndarray:
                 f"impulse at t0={beta.t0} outside [0, {grid.total_time}]"
             )
         w = np.zeros(N)
-        j = min(int(np.floor(beta.t0 / grid.eps)), N - 1)
-        w[j] = 1.0
+        w[np.clip(int(np.ceil(beta.t0 / grid.eps - 1e-9)) - 1, 0, N - 1)] = 1.0
         return w
     if beta.kind == "constant":
         return np.full(N, beta.c * grid.eps)

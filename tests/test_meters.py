@@ -1,9 +1,11 @@
+import json
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from pathmeter import hilbert, mensky, meters, pathsum, timegrid, transforms
+from pathmeter import cli, fourier, hilbert, mensky, meters, pathsum, timegrid, transforms
 from pathmeter.errors import (
     FineFieldNotNormalizable,
     GridMismatch,
@@ -17,6 +19,8 @@ from pathmeter.timegrid import PathFunctionalSpec, SwitchingFunction, TimeGrid
 from conftest import random_hermitian
 from test_pathsum import brute_force_substate
 
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
 
 def oracle_lambda_state(H, decomp, grid, spec, lam, psi0):
     """Exhaustive oracle: sum_paths e^{-i lam . F[a]} (path substate)."""
@@ -26,6 +30,29 @@ def oracle_lambda_state(H, decomp, grid, spec, lam, psi0):
         phase = np.exp(-1j * np.dot(np.atleast_1d(lam), f))
         out = out + phase * brute_force_substate(H, decomp, grid, path.indices, psi0)
     return out
+
+
+def lookup_residual(field, binned):
+    """Node-lookup oracle for bin keys on grid nodes: field * cell against
+    each bin state at its key's node, and no weight on nodes without a bin."""
+    cell = field.cell
+    covered = np.zeros(field.states.shape[:-1], dtype=bool)
+    res = 0.0
+    for row, state in zip(binned.f_values, binned.states):
+        idx = tuple(g.f_index(f) for g, f in zip(field.grids, row))
+        res = max(res, float(np.linalg.norm(field.states[idx] * cell - state)))
+        covered[idx] = True
+    leak = np.linalg.norm(field.states[~covered], axis=-1)
+    if leak.size:
+        res = max(res, float(leak.max() * cell))
+    return res
+
+
+def aligned_residual(field, binned):
+    """binned_field_residual on aligned keys, held to the lookup oracle."""
+    res = meters.binned_field_residual(field, binned)
+    assert abs(res - lookup_residual(field, binned)) < 1e-13
+    return res
 
 
 class TestLambdaGrid:
@@ -86,6 +113,21 @@ class TestLambdaEvolve:
         oracle = oracle_lambda_state(qubit_h, coord_decomp, grid, spec, lam, psi_plus)
         assert np.abs(out - oracle).max() < 1e-12
 
+    @pytest.mark.parametrize("t0, m", [(0.3, 3), (0.5, 5), (1.0, 10)])
+    def test_impulse_on_a_node_is_the_literal_product(self, qubit_h, coord_decomp,
+                                                      psi_plus, t0, m):
+        """An impulse at t0 = m eps acts after m slices:
+        sum_k e^{-i lam a_k} U^(N-m) P_k U^m psi0."""
+        grid, lam = TimeGrid(1.0, 10), 1.7
+        u = hilbert.exact_propagator(qubit_h, grid.eps)
+        out = meters.lambda_evolve(qubit_h, coord_decomp, grid,
+                                   SwitchingFunction.impulse(t0), lam, psi_plus)
+        before = np.linalg.matrix_power(u, m) @ psi_plus
+        after = np.linalg.matrix_power(u, 10 - m)
+        want = sum(np.exp(-1j * lam * a) * after @ coord_decomp.projector(k) @ before
+                   for k, a in enumerate(coord_decomp.eigenvalues))
+        assert np.abs(out - want).max() < 1e-13
+
     def test_norm_preserved(self, qubit_h, coord_decomp, psi_plus):
         grid = TimeGrid(1.0, 7)
         out = meters.lambda_evolve(qubit_h, coord_decomp, grid,
@@ -124,7 +166,7 @@ class TestAmplitudeField:
             qubit_h, coord_decomp, grid, psi_plus, spec)
         g = meters.aligned_grid(beta_avg, grid, coord_decomp, 256)
         field = meters.amplitude_field(qubit_h, coord_decomp, grid, beta_avg, g, psi_plus)
-        assert meters.binned_field_residual(field, bins) < 1e-10
+        assert aligned_residual(field, bins) < 1e-10
 
     def test_two_meters(self, qubit_h, coord_decomp, psi_plus):
         """Joint field of a time-average meter and an impulse meter."""
@@ -137,7 +179,7 @@ class TestAmplitudeField:
         assert meters.marginal_residual(field, undisturbed) < 1e-10
         bins = pathsum.binned_measurement_amplitude(
             qubit_h, coord_decomp, grid, psi_plus, spec)
-        assert meters.binned_field_residual(field, bins) < 1e-10
+        assert aligned_residual(field, bins) < 1e-10
         assert meters.fourier_consistency_check(
             field, qubit_h, coord_decomp, grid, betas) < 1e-10
 
@@ -180,7 +222,78 @@ class TestDegenerateObservableRoute:
             decFA = hilbert.spectral_decompose(FA)
         g = meters.aligned_grid(spec.betas[0], grid, decFA, 256, margin_bins=2)
         field = meters.amplitude_field(H, FA, grid, spec.betas[0], g, psi0)
+        assert aligned_residual(field, bins) < 1e-10
+
+
+def periodic_sinc_field(grids, keys, states):
+    """Brute-force fine field of spikes psi_a at keys F_a: per node and
+    axis, the lambda band's (1/L) sum_lambda e^{i lambda (f - F)}, over the
+    cell."""
+    mesh = np.meshgrid(*[g.f for g in grids], indexing="ij")
+    out = np.zeros(mesh[0].shape + (states.shape[1],), dtype=complex)
+    for key, psi in zip(keys, states):
+        weight = 1.0
+        for g, f, F in zip(grids, mesh, key):
+            weight = weight * np.exp(1j * np.multiply.outer(f - F, g.lam)).sum(axis=-1) / g.n_points
+        out += weight[..., None] * psi
+    return meters.AmplitudeField(grids, out / np.prod([g.df for g in grids]))
+
+
+class TestBinnedFieldResidual:
+    """The bins' spike image against fields on grids whose nodes the keys
+    need not hit."""
+
+    @pytest.mark.parametrize("cells", [meters._IMAGE_CELLS, 1], ids=["blocks", "one_bin"])
+    @pytest.mark.parametrize("shape", [(16, 8), (8, 4, 16)], ids=["two", "three"])
+    def test_image_matches_brute_force_sum(self, shape, cells, monkeypatch):
+        monkeypatch.setattr(meters, "_IMAGE_CELLS", cells)
+        rng = np.random.default_rng(len(shape))
+        grids = tuple(LambdaGrid.from_df(L, rng.uniform(0.2, 0.5)) for L in shape)
+        keys = np.stack([rng.uniform(g.f[0], g.f[-1], 7) for g in grids], axis=1)
+        states = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+        bins = pathsum.BinnedAmplitudes(keys, states, np.full(len(shape), 1e-9))
+        field = periodic_sinc_field(grids, keys, states)
+        assert meters.binned_field_residual(field, bins) < 1e-13
+
+    def _qubit_case(self, qubit_h, coord_decomp, psi_plus, beta_avg, g):
+        grid = TimeGrid(1.0, 10)
+        bins = pathsum.binned_measurement_amplitude(
+            qubit_h, coord_decomp, grid, psi_plus, PathFunctionalSpec(grid, (beta_avg,)))
+        field = meters.amplitude_field(qubit_h, coord_decomp, grid, beta_avg, g, psi_plus)
+        return field, bins
+
+    def test_unaligned_grid_passes(self, qubit_h, coord_decomp, psi_plus, beta_avg):
+        """The keys 1 + m / 10 fall between the nodes of df = 0.0173."""
+        g = LambdaGrid.from_df(256, 0.0173)
+        field, bins = self._qubit_case(qubit_h, coord_decomp, psi_plus, beta_avg, g)
         assert meters.binned_field_residual(field, bins) < 1e-10
+
+    @pytest.mark.parametrize("edit", ["scale_one_bin", "spike_on_empty_node"])
+    def test_an_edited_bin_is_seen(self, qubit_h, coord_decomp, psi_plus, beta_avg, edit):
+        g = meters.aligned_grid(beta_avg, TimeGrid(1.0, 10), coord_decomp, 256)
+        field, bins = self._qubit_case(qubit_h, coord_decomp, psi_plus, beta_avg, g)
+        keys, states = bins.f_values, bins.states.copy()
+        if edit == "scale_one_bin":
+            states[np.argmax(np.linalg.norm(states, axis=1))] *= 1.01
+        else:  # a node far below the attainable [1, 2]
+            keys = np.vstack([keys, [[g.f[10]]]])
+            states = np.vstack([states, [[0.01, 0.0]]])
+        edited = pathsum.BinnedAmplitudes(keys, states, bins.bin_tol)
+        assert meters.binned_field_residual(field, bins) < 1e-10
+        assert meters.binned_field_residual(field, edited) > 1e-3
+
+    @pytest.mark.parametrize("fixture", ["qubit_crosscheck", "generic_crosscheck"])
+    def test_mirrored_readout_axis_fails(self, fixture, monkeypatch):
+        """Swapping the centred transforms mirrors the readout axis; the
+        swapped pair still inverts itself, so only the bins can see it."""
+        cfg = json.loads((CONFIGS / f"{fixture}.json").read_text())
+        assert cli.run(cfg).residuals["paths_vs_lambda"]["value"] < 1e-10
+        monkeypatch.setattr(meters, "centered_idft", fourier.centered_dft)
+        monkeypatch.setattr(meters, "centered_dft", fourier.centered_idft)
+        residuals = cli.run(cfg).residuals
+        assert residuals["paths_vs_lambda"]["value"] > 0.1
+        assert residuals["marginal_completeness"]["pass"]
+        assert residuals["fourier_consistency"]["pass"]
 
 
 class TestFourierConsistency:

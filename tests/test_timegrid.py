@@ -32,6 +32,14 @@ class TestSliceWeights:
         w = timegrid.slice_weights(SwitchingFunction.impulse(1.0), g)
         assert np.allclose(w, [0, 0, 0, 1])
 
+    def test_impulse_on_a_node_acts_at_that_node(self):
+        """0.3 / 0.1 rounds below 3 and 0.5 / 0.1 is exactly 5: both land on
+        the slice whose end is t0, and so do 0.6 and 0.7."""
+        g = TimeGrid(1.0, 10)
+        for t0, slice_ in ((0.3, 2), (0.5, 4), (0.6, 5), (0.7, 6)):
+            w = timegrid.slice_weights(SwitchingFunction.impulse(t0), g)
+            assert np.flatnonzero(w).tolist() == [slice_], t0
+
     @pytest.mark.parametrize("N", [1, 3, 7, 16])
     def test_impulse_weight_sums_to_one(self, N):
         g = TimeGrid(1.0, N)
