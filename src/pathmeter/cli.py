@@ -47,9 +47,9 @@ from .meters import (
     marginal_residual,
     probabilities,
 )
-from .mensky import MenskyConfig, ReadoutRecord, record_states, weak_meter_array
+from .mensky import MenskyConfig, ReadoutRecord, record_states, weak_limit_check, weak_meter_array
 from .pathsum import binned_measurement_amplitude
-from .timegrid import PathFunctionalSpec, SwitchingFunction, TimeGrid
+from .timegrid import PathFunctionalSpec, SwitchingFunction, TimeGrid, square_integral
 from .transforms import apply_kernel, finite_time_kernel, von_neumann_basis_change
 from . import _floattext, particle1d
 
@@ -298,14 +298,16 @@ class _Experiment:
         self.lgrids = [self._lambda_grid(m.node("grid"), b) for m, b in zip(meters, self.betas)]
         self.spec = PathFunctionalSpec(self.grid, tuple(self.betas))
 
-        mensky = root.node("mensky", {})  # read by the mensky route only
+        mensky = root.node("mensky", {})
+        self.sigma = None
         if self.route == "mensky":
-            self.sigma = sigma = mensky.number("sigma", 1.0, positive=True)
-            s2 = sigma * sigma  # the damping rate eps / sigma^2 needs both finite and > 0
-            if not (0 < s2 < math.inf and 0 < self.grid.eps / s2 < math.inf):
-                raise ConfigInvalid(mensky._at("sigma"), f"{sigma!r} puts sigma^2 or "
-                                    f"eps / sigma^2 (eps = {self.grid.eps!r}) out of float range")
+            self.sigma = self._sigma(mensky, 1.0)
             self.records = self._records(mensky)
+        elif (self.route == "crosscheck" and mensky.value and len(meters) == 1
+              and self.betas[0].kind != "impulse"):  # the weak-limit bound
+            self.sigma = self._sigma(mensky)
+            beta = meters[0].node("beta")
+            self.beta_square = beta.build(square_integral, self.betas[0], self.grid)
         if self.route == "transform":
             if len(meters) != 1:
                 raise ConfigInvalid("meters", "transform runs use exactly one meter")
@@ -343,6 +345,16 @@ class _Experiment:
                 raise ConfigInvalid(k._at(name), f"{value!r} is too narrow for the grid: "
                                     f"probability_mass would read {gap:.2e}")
         return k.build(ctor, tuple(self.lgrids), (value,) * len(self.lgrids))
+
+    def _sigma(self, mensky: _Node, default=_REQUIRED) -> float:
+        """The tube width; the damping rate eps / sigma^2 and the weak-limit
+        bound need sigma^2 and eps / sigma^2 finite and > 0."""
+        sigma = mensky.number("sigma", default, positive=True)
+        s2 = sigma * sigma
+        if not (0 < s2 < math.inf and 0 < self.grid.eps / s2 < math.inf):
+            raise ConfigInvalid(mensky._at("sigma"), f"{sigma!r} puts sigma^2 or "
+                                f"eps / sigma^2 (eps = {self.grid.eps!r}) out of float range")
+        return sigma
 
     def _records(self, mensky: _Node) -> list:
         if isinstance(mensky.value.get("records"), list):
@@ -522,6 +534,13 @@ def _route_crosscheck(exp: _Experiment, bundle: ResultBundle) -> None:
     field = _route_lambda(exp, bundle)
     res = binned_field_residual(field, binned)
     bundle.residuals["paths_vs_lambda"] = _residual(res, tols["crosscheck"])
+    if exp.sigma is not None:
+        res_w = weak_limit_check(
+            exp.hamiltonian, exp.decomp, exp.grid, exp.betas[0],
+            [exp.sigma], exp.psi0, exp.lgrids[0])[0]
+        lam_max = float(np.abs(exp.lgrids[0].lam).max())
+        bound = 1.1 * lam_max**2 * exp.sigma**2 * exp.beta_square / 4
+        bundle.residuals["weak_limit_bound"] = _residual(res_w, bound)
 
 
 def run(cfg: dict) -> ResultBundle:
