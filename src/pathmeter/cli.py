@@ -264,7 +264,9 @@ class _Experiment:
 
     def _lambda_grid(self, g: _Node, beta: SwitchingFunction) -> LambdaGrid:
         L = g.integer("points", minimum=2, power_of_two=True)
-        if self.system_kind != "particle1d" and g.flag("aligned", False):
+        if g.flag("aligned", False):
+            if self.system_kind == "particle1d":
+                raise ConfigInvalid(g._at("aligned"), "a particle1d grid takes df, not aligned")
             return g.build(aligned_grid, beta, self.grid, self.decomp, L)
         return g.build(LambdaGrid.from_df, L, g.number("df", positive=True))
 

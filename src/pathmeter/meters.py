@@ -24,6 +24,11 @@ not N slice maps. Other runs loop the slice map: a real product over
 interleaved (re, im) pairs (twice the complex product's speed at d = 2),
 or the lattice's FFT kinetic step.
 
+lambda_evolve writes the evolution out as the literal slice product, with
+none of the engine's code; fourier_consistency_check holds a field to it at
+a few lambda points, so a run evolves its lambda grid once and checks it
+against a reference that does not share the engine's faults.
+
 Fine fields are delta combs on the lattice of attainable functional
 values and are never interpreted as probabilities; convolving with a
 square-integrable kernel (coarse graining) models finite meter accuracy
@@ -35,6 +40,7 @@ preserve the field's kind.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -50,7 +56,7 @@ from .errors import (
     NyquistViolation,
 )
 from .fourier import centered_dft, centered_idft
-from .hilbert import SpectralDecomposition, as_state, spectral_decompose
+from .hilbert import SpectralDecomposition, as_state, exact_propagator, spectral_decompose
 from .pathsum import BinnedAmplitudes, _slice_transfer
 from .timegrid import SwitchingFunction, TimeGrid, slice_weights
 
@@ -303,23 +309,26 @@ def _to_lambda(values: np.ndarray, grids) -> np.ndarray:
 
 
 def lambda_evolve(H, A, grid: TimeGrid, betas, lambdas, psi0) -> np.ndarray:
-    """Evolution with meter couplings folded in per slice.
-
-    Returns prod_j exp(-i (sum_i lambda_i w_ij) A) exp(-i H eps) |psi0>;
-    an impulse meter contributes one exp(-i lambda A) factor on its
-    slice, the others contribute Riemann-weighted phases.
+    """The literal slice product prod_j (sum_k e^{-i lambda . w_j a_k} P_k)
+    exp(-i H eps) |psi0>: per slice, one (K, d) @ (d, d) product of
+    eigenbasis rows by u = V^dag exp(-i H eps) V, then one phase multiply.
+    `lambdas` of shape (M,) gives (d,); K rows of shape (K, M) give (K, d).
+    It shares no code with the engine (_coupled), which it checks.
     """
     betas = _as_betas(betas)
-    lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    if lambdas.size != len(betas):
-        raise DimensionMismatch(
-            f"{lambdas.size} lambda values for {len(betas)} meters"
-        )
+    lam = np.asarray(lambdas, dtype=float)
+    rows = np.atleast_2d(lam)
+    if lam.ndim > 2 or rows.shape[1] != len(betas):
+        raise DimensionMismatch(f"lambda values of shape {lam.shape} for {len(betas)} meters")
     decomp = _as_decomp(A)
+    V, U = decomp.eigenvectors, exact_propagator(H, grid.eps)
+    if U.shape != V.shape:
+        raise DimensionMismatch(f"Hamiltonian dim {U.shape[0]} vs observable dim {decomp.dim}")
     W = np.stack([slice_weights(b, grid) for b in betas])
-    out = _coupled(H, decomp, grid, W, lambdas[None, :],
-                   decomp.to_eigenbasis(psi0)[None, :])[0]
-    return decomp.from_eigenbasis(out)
+    state, uT = decomp.to_eigenbasis(psi0), (V.conj().T @ U @ V).T
+    for phase in np.exp(-1j * (rows @ W).T[..., None] * decomp.eigenvalues):  # (N, K, d)
+        state = (state @ uT) * phase
+    return state @ V.T if lam.ndim == 2 else state[0] @ V.T
 
 
 def _attainable_range(W: np.ndarray, eigenvalues: np.ndarray):
@@ -447,7 +456,8 @@ class CoarseGrainKernel:
     samples: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "grids", tuple(self.grids))
+        grids = (self.grids,) if isinstance(self.grids, LambdaGrid) else tuple(self.grids)
+        object.__setattr__(self, "grids", grids)
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         M = len(self.grids)
         if self.kind in ("gaussian", "shift", "quadratic_phase"):
@@ -462,21 +472,19 @@ class CoarseGrainKernel:
 
     @classmethod
     def gaussian(cls, grids, widths) -> "CoarseGrainKernel":
-        return cls("gaussian", _tuple_grids(grids), tuple(np.atleast_1d(widths)))
+        return cls("gaussian", grids, tuple(np.atleast_1d(widths)))
 
     @classmethod
     def shift(cls, grids, offsets) -> "CoarseGrainKernel":
-        return cls("shift", _tuple_grids(grids), tuple(np.atleast_1d(offsets)))
+        return cls("shift", grids, tuple(np.atleast_1d(offsets)))
 
     @classmethod
     def quadratic_phase(cls, grids, curvatures) -> "CoarseGrainKernel":
-        return cls("quadratic_phase", _tuple_grids(grids),
-                   tuple(np.atleast_1d(curvatures)))
+        return cls("quadratic_phase", grids, tuple(np.atleast_1d(curvatures)))
 
     @classmethod
     def custom(cls, grids, samples) -> "CoarseGrainKernel":
-        return cls("custom", _tuple_grids(grids), (),
-                   np.asarray(samples, dtype=complex))
+        return cls("custom", grids, (), np.asarray(samples, dtype=complex))
 
     @property
     def normalizable(self) -> bool:
@@ -496,20 +504,14 @@ class CoarseGrainKernel:
                 axes.append(np.exp(-1j * self.params[i] * lam**2))
         if self.kind == "custom":
             return _to_lambda(self.samples, self.grids)
-        out = axes[0]
-        for ax in axes[1:]:
-            out = np.multiply.outer(out, ax)
-        return out
+        return functools.reduce(np.multiply.outer, axes)
 
     def f_samples(self) -> np.ndarray:
         """Readout-space samples G(f); only for normalizable kernels."""
         if self.kind == "gaussian":
-            axes = [np.exp(-(g.f / self.params[i]) ** 2)
-                    for i, g in enumerate(self.grids)]
-            out = axes[0]
-            for ax in axes[1:]:
-                out = np.multiply.outer(out, ax)
-            return out.astype(complex)
+            axes = [np.exp(-(np.minimum(np.abs(g.f), 30 * w) / w) ** 2)  # capped: exp(-900) is 0.0
+                    for g, w in zip(self.grids, self.params)]
+            return functools.reduce(np.multiply.outer, axes).astype(complex)
         if self.kind == "custom":
             return self.samples
         raise FineFieldNotNormalizable(
@@ -520,12 +522,6 @@ class CoarseGrainKernel:
         """int |G(f)|^2 df on the grid."""
         cell = float(np.prod([g.df for g in self.grids]))
         return float(np.sum(np.abs(self.f_samples()) ** 2) * cell)
-
-
-def _tuple_grids(grids):
-    if isinstance(grids, LambdaGrid):
-        return (grids,)
-    return tuple(grids)
 
 
 def _same_grids(a, b) -> bool:
@@ -578,27 +574,34 @@ def probabilities(field: AmplitudeField) -> ProbabilityTable:
     return ProbabilityTable(field.grids, W, field.cell)
 
 
+_CHECK_POINTS = 8  # lambda points at which fourier_consistency_check samples a field
+
+
 def fourier_consistency_check(field: AmplitudeField, H, A, grid: TimeGrid,
                               betas) -> float:
-    """Max residual between the field's forward transform and fresh
-    coupled evolutions on the lambda grid.
-
-    The forward transform of a fine readout field must reproduce, point
-    by point, the evolution driven by the coupling history
-    lambda(t) = sum_i lambda_i beta_i(t). The initial state is recovered
-    from the field itself: the marginal is the undisturbed evolution of
-    psi0, which is inverted by the N-th power of the adjoint slice map.
+    """Max residual between the field's forward sum and lambda_evolve at
+    K = _CHECK_POINTS points of the lambda product grid, index
+    round(k (L_i - 1) / (K - 1)) on every axis i. The forward sum is
+    sum_f e^{-i lambda . f} field(f) cell, its phases read from a table of
+    L-th roots of unity (lambda_m f_n = 2 pi (m - L/2)(n - L/2) / L); psi0
+    is the field's marginal evolved back by exp(+i H T). Neither side runs
+    the engine or fourier.py, so a mirrored readout axis or a coupling
+    applied before exp(-i H eps) fails the check.
     """
     if field.kind != "fine":
         raise ValueError("consistency check is defined for fine fields")
-    decomp = _as_decomp(A)
-    lam_states = _to_lambda(field.states, field.grids)
-    u = _slice_transfer(H, decomp, grid)
-    psi0_eig = np.linalg.matrix_power(u.conj().T, grid.steps) @ decomp.to_eigenbasis(
-        field.marginal())
-    psi0 = decomp.from_eigenbasis(psi0_eig)
-    direct = _lambda_states(H, decomp, grid, betas, field.grids, psi0)
-    return float(np.max(np.linalg.norm(lam_states - direct, axis=-1)))
+    K, lam = _CHECK_POINTS, []
+    sums = (field.states * field.cell)[None]
+    for g in field.grids:  # contract each readout axis, point k with sums[k]
+        L = g.n_points
+        m = np.round(np.arange(K) * (L - 1) / (K - 1)).astype(int)
+        roots = np.exp(-2j * np.pi * np.arange(L) / L)
+        phase = roots[np.multiply.outer(m - L // 2, np.arange(L) - L // 2) & (L - 1)]
+        sums = (phase[:, None] @ sums.reshape(len(sums), L, -1)).reshape((K,) + sums.shape[2:])
+        lam.append(g.lam[m])
+    psi0 = exact_propagator(H, grid.total_time).conj().T @ field.marginal()
+    direct = lambda_evolve(H, A, grid, betas, np.stack(lam, axis=1), psi0)
+    return float(np.max(np.linalg.norm(sums - direct, axis=-1)))
 
 
 def marginal_residual(field: AmplitudeField, reference_state) -> float:

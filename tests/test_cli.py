@@ -179,6 +179,9 @@ class TestRun:
         (("system", "mass"), 1e-320, "system"),
         # a particle meter has no coarse-grained field
         (("meters", 0, "kernel"), {"kind": "gaussian", "width": 0.1}, "meters[0].kernel"),
+        # nor an aligned grid: the flag is read, and true is refused
+        (("meters", 0, "grid", "aligned"), "yes", "meters[0].grid.aligned"),
+        (("meters", 0, "grid", "aligned"), True, "meters[0].grid.aligned"),
     ], ids=lambda v: v[-1] if isinstance(v, tuple) else None)
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_bad_particle_value_exits_2_and_names_it(self, tmp_path, capsys,
@@ -188,6 +191,17 @@ class TestRun:
         code, _ = run_main(tmp_path, cfg)
         assert code == cli.EXIT_CONFIG
         assert field in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_coupling_exits_2_with_warnings_as_errors(self, tmp_path, capsys):
+        """An aligned grid of df ~ 1e300 under a 0.12 wide Gaussian: the
+        kernel's samples neither overflow nor leave the exit-2 path."""
+        cfg = copy.deepcopy(BASE_CONFIG)
+        del cfg["mensky"]
+        cfg["meters"][0]["beta"]["value"] = 1e300
+        code, _ = run_main(tmp_path, cfg)
+        assert code == cli.EXIT_CONFIG
+        assert "meters[0].kernel.width" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 100000],
                              ids=["not_utf8", "deep_nesting"])

@@ -7,6 +7,7 @@ import pytest
 
 from pathmeter import cli, fourier, hilbert, mensky, meters, pathsum, timegrid, transforms
 from pathmeter.errors import (
+    DimensionMismatch,
     FineFieldNotNormalizable,
     GridMismatch,
     GridTooSmall,
@@ -133,6 +134,20 @@ class TestLambdaEvolve:
         out = meters.lambda_evolve(qubit_h, coord_decomp, grid,
                                    SwitchingFunction.constant(1.0), 3.1, psi_plus)
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-13)
+
+    def test_rows_are_single_calls(self, qubit_h, coord_decomp, psi_plus):
+        """K rows of shape (K, M) give (K, d), row k equal to a call with row k."""
+        grid = TimeGrid(1.0, 6)
+        betas = (SwitchingFunction.constant(1.0), SwitchingFunction.impulse(0.5))
+        rows = np.random.default_rng(3).uniform(-4.0, 4.0, size=(5, 2))
+        out = meters.lambda_evolve(qubit_h, coord_decomp, grid, betas, rows, psi_plus)
+        assert out.shape == (5, 2)
+        for row, got in zip(rows, out):
+            one = meters.lambda_evolve(qubit_h, coord_decomp, grid, betas, row, psi_plus)
+            assert one.shape == (2,)
+            assert np.abs(got - one).max() < 1e-14
+        with pytest.raises(DimensionMismatch):
+            meters.lambda_evolve(qubit_h, coord_decomp, grid, betas, rows[:, :1], psi_plus)
 
 
 class TestAmplitudeField:
@@ -285,7 +300,7 @@ class TestBinnedFieldResidual:
     @pytest.mark.parametrize("fixture", ["qubit_crosscheck", "generic_crosscheck"])
     def test_mirrored_readout_axis_fails(self, fixture, monkeypatch):
         """Swapping the centred transforms mirrors the readout axis; the
-        swapped pair still inverts itself, so only the bins can see it."""
+        swapped pair still inverts itself, so the marginal cannot see it."""
         cfg = json.loads((CONFIGS / f"{fixture}.json").read_text())
         assert cli.run(cfg).residuals["paths_vs_lambda"]["value"] < 1e-10
         monkeypatch.setattr(meters, "centered_idft", fourier.centered_dft)
@@ -293,7 +308,7 @@ class TestBinnedFieldResidual:
         residuals = cli.run(cfg).residuals
         assert residuals["paths_vs_lambda"]["value"] > 0.1
         assert residuals["marginal_completeness"]["pass"]
-        assert residuals["fourier_consistency"]["pass"]
+        assert not residuals["fourier_consistency"]["pass"]
 
 
 class TestFourierConsistency:
@@ -311,6 +326,63 @@ class TestFourierConsistency:
                                        beta_avg, g, psi_plus)
         assert meters.fourier_consistency_check(
             field, np.zeros((2, 2)), coord_decomp, grid, beta_avg) < 1e-13
+
+    @pytest.mark.parametrize("t0", [0.3, 0.5, 1.0])
+    def test_impulse_on_a_node(self, qubit_h, coord_decomp, psi_plus, t0):
+        """H != 0 and an impulse on a slice node: the engine's field agrees
+        with the literal product, and not with the impulse one slice earlier,
+        so the check pins where the engine puts the impulse."""
+        grid = TimeGrid(1.0, 10)
+        beta = SwitchingFunction.impulse(t0)
+        g = meters.aligned_grid(beta, grid, coord_decomp, 64)
+        field = meters.amplitude_field(qubit_h, coord_decomp, grid, beta, g, psi_plus)
+        assert meters.fourier_consistency_check(
+            field, qubit_h, coord_decomp, grid, beta) < 1e-13
+        early = SwitchingFunction.impulse(t0 - grid.eps)
+        assert meters.fourier_consistency_check(
+            field, qubit_h, coord_decomp, grid, early) > 1e-4
+
+    @pytest.mark.parametrize("mutant", ["mirrored_axis", "coupling_first"])
+    def test_a_mutant_engine_fails(self, mutant, monkeypatch):
+        """A lambda-only run with H != 0: the check sees a mirrored readout
+        axis and a coupling applied before exp(-i H eps); the marginal sees
+        neither."""
+        cfg = json.loads((CONFIGS / "qubit_crosscheck.json").read_text())
+        cfg["route"] = "lambda"
+        del cfg["mensky"]
+        assert cli.run(cfg).residuals["fourier_consistency"]["value"] < 1e-13
+        if mutant == "mirrored_axis":
+            monkeypatch.setattr(meters, "centered_idft", fourier.centered_dft)
+            monkeypatch.setattr(meters, "centered_dft", fourier.centered_idft)
+        else:
+            monkeypatch.setattr(meters, "_sliced", coupling_first)
+        residuals = cli.run(cfg).residuals
+        assert residuals["fourier_consistency"]["value"] > 1e-4
+        assert residuals["marginal_completeness"]["pass"]
+
+    @pytest.mark.parametrize("fixture", ["born_instantaneous", "qubit_crosscheck",
+                                         "generic_crosscheck"])
+    def test_a_run_evolves_its_lambda_grid_once(self, fixture, monkeypatch):
+        calls = []
+        coupled = meters._coupled
+
+        def counted(*args):
+            calls.append(args)
+            return coupled(*args)
+
+        monkeypatch.setattr(meters, "_coupled", counted)
+        cli.run(json.loads((CONFIGS / f"{fixture}.json").read_text()))
+        assert len(calls) == 1
+
+
+def coupling_first(u, states, weights, factor, out=None):
+    """meters._sliced with each slice's factor applied before the matrix
+    map, and no powering."""
+    a = np.empty(np.broadcast_shapes(np.shape(states), factor(weights[0]).shape), complex)
+    a[...] = states
+    for w in weights:
+        a = (a * factor(w)) @ u.T
+    return a
 
 
 def _born_field(coord_decomp, psi_plus, L=512):
