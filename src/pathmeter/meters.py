@@ -497,7 +497,8 @@ class CoarseGrainKernel:
             lam = g.lam
             if self.kind == "gaussian":
                 wdt = self.params[i]
-                axes.append(wdt * np.sqrt(np.pi) * np.exp(-(lam * wdt) ** 2 / 4))
+                x = np.minimum(np.abs(lam), 60 / wdt) * wdt  # capped: exp(-900) is 0.0
+                axes.append(wdt * np.sqrt(np.pi) * np.exp(-x**2 / 4))
             elif self.kind == "shift":
                 axes.append(np.exp(-1j * self.params[i] * lam))
             elif self.kind == "quadratic_phase":

@@ -39,6 +39,7 @@ BASE_CONFIG = {
 }
 METER = BASE_CONFIG["meters"][0]
 PLAIN_METER = {k: v for k, v in METER.items() if k != "kernel"}
+BORN = json.loads((CONFIGS / "born_instantaneous.json").read_text())
 TRANSFORM = {"observable_b": {"kind": "matrix", "entries": [[0.0, 1.0], [1.0, 0.0]]}}
 
 
@@ -150,8 +151,17 @@ class TestRun:
         ({"route": "mensky", "meters": [PLAIN_METER], "mensky": {"sigma": 1e300}},
          "mensky.sigma"),
         ({"mensky": {"sigma": 1e300}}, "mensky.sigma"),
+        # a Gaussian kernel whose symbol or symbol squared would leave float
+        # range: 1e300 wide, or on the huge dlam of a tiny total time
+        ({"meters": [{**METER, "kernel": {"kind": "gaussian", "width": 1e300}}]},
+         "meters[0].kernel.width"),
+        ({**BORN, "meters": [{**BORN["meters"][0], "kernel": {"kind": "gaussian", "width": 1e300}}]},
+         "meters[0].kernel.width"),
+        ({"time": {"total": 1e-300, "slices": 10}}, "meters[0].kernel.width"),
+        # an initial state whose squared norm is past float range
+        ({"initial_state": [[1e300, 0.0], [1.0, 0.0]]}, "initial_state"),
     ])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_value_exits_2_and_names_it(self, tmp_path, capsys, override, field):
         cfg = {**copy.deepcopy(BASE_CONFIG), **override}
         code, _ = run_main(tmp_path, cfg)
@@ -182,8 +192,11 @@ class TestRun:
         # nor an aligned grid: the flag is read, and true is refused
         (("meters", 0, "grid", "aligned"), "yes", "meters[0].grid.aligned"),
         (("meters", 0, "grid", "aligned"), True, "meters[0].grid.aligned"),
+        # nor a packet whose every sample is 0.0 on the lattice
+        (("system", "packet", "center"), 1e300, "system"),
+        (("system", "x_min"), 1e300, "system"),
     ], ids=lambda v: v[-1] if isinstance(v, tuple) else None)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_particle_value_exits_2_and_names_it(self, tmp_path, capsys,
                                                      path, value, field):
         cfg = json.loads((CONFIGS / "particle_dwell.json").read_text())
@@ -489,7 +502,7 @@ def value_paths(doc, prefix=()):
             yield from value_paths(value, prefix + (key,))
 
 
-@pytest.mark.filterwarnings("ignore")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(derandomize=True, max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())

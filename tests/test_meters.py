@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pathmeter import cli, fourier, hilbert, mensky, meters, pathsum, timegrid, transforms
+from pathmeter import (cli, fourier, hilbert, mensky, meters, particle1d, pathsum, timegrid,
+                       transforms)
 from pathmeter.errors import (
     DimensionMismatch,
     FineFieldNotNormalizable,
@@ -346,43 +347,89 @@ class TestFourierConsistency:
     def test_a_mutant_engine_fails(self, mutant, monkeypatch):
         """A lambda-only run with H != 0: the check sees a mirrored readout
         axis and a coupling applied before exp(-i H eps); the marginal sees
-        neither."""
+        neither. The transform fixture's B-field, held to the literal
+        B-coupled product, fails under both as well."""
         cfg = json.loads((CONFIGS / "qubit_crosscheck.json").read_text())
         cfg["route"] = "lambda"
         del cfg["mensky"]
+        transform = json.loads((CONFIGS / "transform_pair.json").read_text())
         assert cli.run(cfg).residuals["fourier_consistency"]["value"] < 1e-13
-        if mutant == "mirrored_axis":
-            monkeypatch.setattr(meters, "centered_idft", fourier.centered_dft)
-            monkeypatch.setattr(meters, "centered_dft", fourier.centered_idft)
-        else:
-            monkeypatch.setattr(meters, "_sliced", coupling_first)
+        assert cli.run(transform).residuals["transform_field"]["value"] < 1e-12
+        apply_mutant(monkeypatch, mutant)
         residuals = cli.run(cfg).residuals
         assert residuals["fourier_consistency"]["value"] > 1e-4
         assert residuals["marginal_completeness"]["pass"]
+        assert cli.run(transform).residuals["transform_field"]["value"] > 1e-4
+
+    def test_a_coupling_first_particle_engine_fails_the_sum_rule(self, monkeypatch):
+        """The particle fixture behind a barrier (V != 0): the sum rule holds
+        the engine's marginal to the literal split-step product, so a
+        coupling applied before the kinetic step fails it."""
+        cfg = json.loads((CONFIGS / "particle_dwell.json").read_text())
+        cfg["system"]["potential"] = {"kind": "barrier", "lo": 4.0, "hi": 4.5, "height": 1.0}
+        assert cli.run(cfg).residuals["sum_rule"]["value"] < 1e-13
+        apply_mutant(monkeypatch, "coupling_first")
+        assert cli.run(cfg).residuals["sum_rule"]["value"] > 1e-6
 
     @pytest.mark.parametrize("fixture", ["born_instantaneous", "qubit_crosscheck",
                                          "generic_crosscheck"])
     def test_a_run_evolves_its_lambda_grid_once(self, fixture, monkeypatch):
-        calls = []
-        coupled = meters._coupled
-
-        def counted(*args):
-            calls.append(args)
-            return coupled(*args)
-
-        monkeypatch.setattr(meters, "_coupled", counted)
+        calls = count_calls(monkeypatch, meters._coupled, (meters,))
         cli.run(json.loads((CONFIGS / f"{fixture}.json").read_text()))
         assert len(calls) == 1
 
+    def test_a_transform_run_evolves_each_field_once(self, monkeypatch):
+        """The A-field and the kernel's two propagator stacks: three coupled
+        evolutions, and one amplitude field."""
+        coupled = count_calls(monkeypatch, meters._coupled, (meters, transforms))
+        fields = count_calls(monkeypatch, cli.amplitude_field, (cli,))
+        cli.run(json.loads((CONFIGS / "transform_pair.json").read_text()))
+        assert (len(coupled), len(fields)) == (3, 1)
+
+    def test_a_particle_run_evolves_its_lambda_grid_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, particle1d._split_step_batch, (particle1d,))
+        cli.run(json.loads((CONFIGS / "particle_dwell.json").read_text()))
+        assert len(calls) == 1
+
+
+def count_calls(monkeypatch, fn, modules) -> list:
+    """Replace fn by a counting wrapper in every module that holds it;
+    returns the list that each call appends to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
 
 def coupling_first(u, states, weights, factor, out=None):
-    """meters._sliced with each slice's factor applied before the matrix
-    map, and no powering."""
+    """meters._sliced with each slice's factor applied before the slice map,
+    a matrix or a callable, and no powering."""
     a = np.empty(np.broadcast_shapes(np.shape(states), factor(weights[0]).shape), complex)
     a[...] = states
     for w in weights:
-        a = (a * factor(w)) @ u.T
-    return a
+        a = a * factor(w)
+        a = u(a) if callable(u) else a @ u.T
+    if out is None:
+        return a
+    out[...] = a
+    return out
+
+
+def apply_mutant(monkeypatch, mutant):
+    """M1 ("mirrored_axis") swaps the centred transforms that map lambda
+    samples to readouts and back; M2 ("coupling_first") runs every sliced
+    evolution, the lattice particle's included, as coupling_first."""
+    if mutant == "mirrored_axis":
+        monkeypatch.setattr(meters, "centered_idft", fourier.centered_dft)
+        monkeypatch.setattr(meters, "centered_dft", fourier.centered_idft)
+    else:
+        monkeypatch.setattr(meters, "_sliced", coupling_first)
+        monkeypatch.setattr(particle1d, "_sliced", coupling_first)
 
 
 def _born_field(coord_decomp, psi_plus, L=512):

@@ -328,7 +328,38 @@ def test_single_row_spawns_no_thread(monkeypatch):
 
     monkeypatch.setattr(particle1d, "usable_cpus", lambda: 4)
     monkeypatch.setattr(threading, "Thread", no_thread)
+    stack, kin_angle, base, coupling, F, symmetric = batch_args(PIECEWISE, False)
+    out = particle1d._split_step_batch(stack[0], kin_angle, base, coupling[:, :1], F, symmetric)
+    assert np.linalg.norm(out) ** 2 * 0.25 == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@PROFILES
+def test_literal_split_step_matches_one_engine_row(beta, symmetric):
+    """split_step_evolve, the literal per-slice product, against a one-row
+    _split_step_batch at lambda = 1.5 behind a harmonic potential."""
+    psi = free_packet(n_x=64, dx=0.25, width=1.0, momentum=0.5)
+    grid = TimeGrid(1.0, 12)
+    V = 0.1 * psi.x**2
+    cf = CoordinateFunctional((np.abs(psi.x) < 2.0).astype(float), beta)
+    got = particle1d.split_step_evolve(psi, V, grid, 1.5, cf, symmetric=symmetric).values
+    kin_angle = particle1d._dispersion(psi, "spectral") * grid.eps
+    row = particle1d._split_step_batch(psi.values, kin_angle, np.exp(-1j * V * grid.eps),
+                                       1.5 * slice_weights(beta, grid)[:, None], cf.values,
+                                       symmetric)[0]
+    assert np.linalg.norm(got - row) <= 1e-12 * np.linalg.norm(row)
+
+
+def test_literal_split_step_shares_no_engine_code(monkeypatch):
+    def engine(*args, **kwargs):
+        raise AssertionError("split_step_evolve ran engine code")
+
+    for name in ("_sliced", "_split_step_batch", "_run_blocks", "_evolve_block", "_kinetic"):
+        monkeypatch.setattr(particle1d, name, engine)
+    monkeypatch.setattr(meters, "_sliced", engine)
     psi = free_packet(n_x=64, dx=0.25)
-    cf = CoordinateFunctional(np.zeros(64), SwitchingFunction.constant(1.0))
-    out = particle1d.split_step_evolve(psi, np.zeros(64), TimeGrid(1.0, 8), 0.5, cf)
-    assert out.norm2() == pytest.approx(1.0, abs=1e-12)
+    cf = CoordinateFunctional(np.ones(64), SwitchingFunction.constant(1.0))
+    for symmetric in (False, True):
+        out = particle1d.split_step_evolve(psi, np.zeros(64), TimeGrid(1.0, 8), 0.5, cf,
+                                           symmetric=symmetric)
+        assert out.norm2() == pytest.approx(1.0, abs=1e-12)
