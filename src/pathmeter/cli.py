@@ -349,7 +349,9 @@ class _Experiment:
             gap = abs(lam_mass - f_mass) * float(np.vdot(self.psi0, self.psi0).real)
             rounding = f_mass * np.finfo(float).eps * np.prod([g.n_points for g in self.lgrids])
             if abs(lam_mass - f_mass) > rounding and gap > self.tolerances["probability_mass"]:
-                raise ConfigInvalid(k._at(name), f"{value!r} is too narrow for the grid: "
+                why = ("is too narrow for the grid" if math.isfinite(gap)
+                       else "puts the kernel mass out of float range")
+                raise ConfigInvalid(k._at(name), f"{value!r} {why}: "
                                     f"probability_mass would read {gap:.2e}")
         return k.build(ctor, tuple(self.lgrids), (value,) * len(self.lgrids))
 

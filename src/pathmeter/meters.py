@@ -618,10 +618,15 @@ _IMAGE_CELLS = 2**16
 def _spike_image(g: LambdaGrid, keys: np.ndarray) -> np.ndarray:
     """(L, B) field x df of unit spikes at `keys` through g's lambda band:
     (1/L) sum_lambda e^{i lambda x}, x = f - F, a periodic sinc that is 1 at
-    x = 0 and 0 at every other node."""
-    x = g.f[:, None] - keys
-    y = x / (g.n_points * g.df)
-    return np.exp(-1j * np.pi * y) * np.sinc(x / g.df) / np.sinc(y)
+    x = 0 and 0 at every other node. With y = x / (L df) it is
+    sin(pi L y) / L * (cot(pi y) - i)."""
+    y = (g.f[:, None] - keys) / (g.n_points * g.df)
+    s = np.sin(np.pi * g.n_points * y) / g.n_points
+    t = np.tan(np.pi * y)
+    out = np.ones(y.shape, dtype=complex)  # the x = 0 limit
+    np.divide(s, t, out=out.real, where=t != 0)
+    out.imag = -s
+    return out
 
 
 def binned_field_residual(field: AmplitudeField, binned: BinnedAmplitudes) -> float:

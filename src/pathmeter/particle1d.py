@@ -28,6 +28,7 @@ boundary_mass provides the runtime check.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -81,6 +82,15 @@ class LatticeWavefunction:
         four_w2 = 4 * width**2
         if not four_w2 > 0:
             raise ValueError(f"packet width {width!r} squares to zero")
+        # the sites and their distances to the centre are monotone in the
+        # site index, so the end sites bound them
+        x_last = x_min + dx * (n_x - 1)
+        if not math.isfinite(x_last):
+            raise ValueError(f"the last lattice site x_min + dx (n_x - 1) = {x_last!r} "
+                             "is past float range")
+        if not (math.isfinite(x_min - center) and math.isfinite(x_last - center)):
+            raise ValueError(f"the distance from the lattice to the packet centre "
+                             f"{center!r} is past float range")
         x = x_min + dx * np.arange(n_x)
         d = np.minimum(np.abs(x - center), 60 * width)  # capped: exp(-900) is 0.0
         psi = np.exp(-(d**2) / four_w2 + 1j * momentum * x)

@@ -13,16 +13,22 @@ Restricted sums run over every path that shares a key: the meter
 functional F = sum_j w_j a(t_j), the number of jumps, or nothing (the
 complete sum, which reproduces the sliced propagator). Path sums are
 associative, so the engine never lists the dim**N paths. It carries
-classes (partial key, end label) -> summed amplitude through the slices
-and merges classes that agree after every slice, the direct-space dual
-of the pointer (lambda) route. Commensurate eigenvalues keep the class
-count polynomial in N; generic values merge nothing and cost as much as
-listing the paths. Grouping by jumps recovers the nested time-ordered
-perturbation series in the off-diagonal coupling.
+classes (partial key, end label) -> summed amplitude through the slices,
+the direct-space dual of the pointer (lambda) route, in one of two
+layouts chosen from the key increments alone (_class_sum). When every
+key column is a lattice (commensurate eigenvalues and weights, integer
+keys, no key), the classes are the cells of one dense array indexed by
+lattice position, and a slice is one product by the transfer per
+distinct increment; the class count is then polynomial in N. Generic
+float keys take a sorted merge of the classes that agree after every
+slice; they merge nothing and cost as much as listing the paths.
+Grouping by jumps recovers the nested time-ordered perturbation series
+in the off-diagonal coupling.
 
 Every binned sum goes through _binned, which holds the one bin-tolerance
 rule: per meter i, BIN_TOL_FACTOR times its largest key increment
-|w_ij F(a_l)|, so it scales with that meter's keys. Every reduction runs
+|w_ij F(a_l)|, so it scales with that meter's keys. The sorted merge
+clusters within it, and a lattice step must exceed it. Every reduction runs
 in a fixed order, so results are reproducible bit for bit for a given
 configuration.
 enumerate_eigenpaths and path_amplitude stay as the literal
@@ -32,6 +38,7 @@ one-path-at-a-time oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +58,11 @@ from .hilbert import (
 )
 from .timegrid import PathFunctionalSpec, TimeGrid
 
-PATH_CAP = 2**22  # most candidate classes a path sum may hold after any slice
+PATH_CAP = 2**22  # most classes a path sum may hold: dense cells, or candidates of a slice
 MAX_QUADRATURE_CELLS = 2**22
 BIN_TOL_FACTOR = 1e-6  # bin tolerance per unit of a meter's largest key increment
 SNAP_SPREAD = 1e-6  # column clusters narrower than this times bin_tol are one value
+LATTICE_RTOL = 1e-9  # a lattice key increment is a whole number of steps within this
 
 
 @dataclass(frozen=True)
@@ -174,38 +182,40 @@ def path_sum_total(H, decomp: SpectralDecomposition, grid: TimeGrid, psi0) -> np
     return decomp.from_eigenbasis(states.sum(axis=0))
 
 
-def _cluster_columns(F: np.ndarray, tol: np.ndarray) -> np.ndarray:
+def _cluster_columns(F: np.ndarray, tol: np.ndarray):
     """Quantise each column into gap-separated clusters.
 
     Assumes genuinely distinct functional values are separated by much
     more than the column's tol[i] (they live on the attainable-value
     lattice), so a gap split on the sorted column is unambiguous. Returns
-    integer cluster ids per row, increasing with the column value.
+    integer cluster ids per row, increasing with the column value, and
+    each column's sorting permutation (M, P).
     """
     P, M = F.shape
     ids = np.empty((P, M), dtype=np.int64)
+    orders = np.empty((M, P), dtype=np.int64)
     for i in range(M):
-        order = np.argsort(F[:, i], kind="stable")
+        order = orders[i] = np.argsort(F[:, i], kind="stable")
         starts = np.empty(P, dtype=bool)
         starts[0] = True
         np.greater(np.diff(F[order, i]), tol[i], out=starts[1:])
         ids[order, i] = np.cumsum(starts) - 1
-    return ids
+    return ids, orders
 
 
-def _snap(keys: np.ndarray, ids: np.ndarray, bins: np.ndarray, tol: np.ndarray) -> np.ndarray:
+def _snap(keys, ids, bins, tol, orders) -> np.ndarray:
     """Every row's float key replaced by one representative per bin.
 
     A column cluster that spans at most SNAP_SPREAD * tol[i] holds one
     attainable value up to rounding, and all its rows get the cluster
     mean. A wider cluster chains distinct values, and each bin (the full
     cluster-id tuple) gets the mean over its own rows. Columns are summed
-    in ascending value order, so a bin that is one column cluster gets the
+    in ascending value order (`orders` yields the permutation that sorts
+    each column in turn), so a bin that is one column cluster gets the
     same value either way.
     """
     out = np.empty_like(keys)
-    for i in range(keys.shape[1]):
-        order = np.argsort(keys[:, i], kind="stable")
+    for i, order in enumerate(orders):
         col, cid = keys[order, i], ids[order, i]
         starts = np.flatnonzero(np.diff(cid, prepend=-1))
         wide = col[np.append(starts[1:], col.size) - 1] - col[starts] > SNAP_SPREAD * tol[i]
@@ -215,17 +225,16 @@ def _snap(keys: np.ndarray, ids: np.ndarray, bins: np.ndarray, tol: np.ndarray) 
 
 
 def _merge(keys, ends, amps, tol, snap):
-    """Sum the classes that share a key and an end label; drop exact zeros.
+    """Sum the float-key classes that share a key and an end label; drop
+    exact zeros.
 
-    A merged float key is the mean of its members, so an unmerged class
-    keeps its exact partial key; snap=True replaces every float key by a
+    A merged key is the mean of its members, so an unmerged class keeps
+    its exact partial key; snap=True replaces every key by a
     representative of its bin (all classes with the same cluster ids,
     whatever their end labels) instead, see _snap, which makes the keys of
     a bin bit-identical.
     """
-    ids = keys
-    if keys.dtype.kind == "f" and keys.size:
-        ids = _cluster_columns(keys, tol)
+    ids, orders = _cluster_columns(keys, tol)
     order = np.lexsort((ends, *ids.T[::-1]))
     ids, keys, ends, amps = ids[order], keys[order], ends[order], amps[order]
     new_bin = np.ones(ends.size, dtype=bool)
@@ -234,14 +243,74 @@ def _merge(keys, ends, amps, tol, snap):
     first[1:] |= ends[1:] != ends[:-1]
     starts = np.flatnonzero(first)
     amps = np.add.reduceat(amps, starts)
-    if keys.dtype.kind != "f" or not keys.size:
-        keys = keys[starts]
-    elif snap:
-        keys = _snap(keys, ids, np.cumsum(new_bin) - 1, tol)[starts]
+    if snap:
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        keys = _snap(keys, ids, np.cumsum(new_bin) - 1, tol, (rank[o] for o in orders))[starts]
     else:
         keys = np.add.reduceat(keys, starts) / np.diff(np.append(starts, ends.size))[:, None]
     keep = amps != 0
     return keys[keep], ends[starts][keep], amps[keep]
+
+
+def _lattice(inc, tol):
+    """Each key column's lattice step, and the increments in steps.
+
+    Integer keys are their own lattice (step 1). A float column is one
+    when its increments are integer multiples of one step within
+    LATTICE_RTOL of that step. The step is the float gcd of the increment
+    magnitudes, remainders at or below the column's tol read as zero (so
+    it exceeds tol), then refitted as the largest magnitude over its
+    multiple. Returns None when a column is not a lattice.
+    """
+    if inc.dtype.kind != "f":
+        return np.ones(inc.shape[-1], dtype=np.int64), inc
+    step = np.ones(inc.shape[-1])
+    for i, t in enumerate(tol):
+        mags, g = np.unique(np.abs(inc[..., i])).tolist()[::-1], 0.0
+        for v in mags:
+            while v > t:
+                g, v = v, g % v
+        if g:  # else an all-zero column, every key 0
+            step[i] = mags[0] / round(mags[0] / g)  # the gcd chain's rounding refitted
+    n = np.rint(inc / step)
+    if np.any(np.abs(inc - n * step) > LATTICE_RTOL * step):
+        return None
+    return step, n
+
+
+def _dense_sum(u, v0, rel, base, dims, step):
+    """Class sum on the key lattice: the classes are the cells of one dense
+    (K_1, ..., K_M, d) array, held flat as (cells, d), indexed by lattice
+    position and end label.
+
+    rel[j, l, l'] is slice j's key increment in lattice steps, counted
+    from that slice's least one, and a cell's key is (its index along dims
+    + base) * step. Slice 1 places v0 by assignment; each later slice
+    is one product by the transfer per distinct offset (the transfer masked
+    to the label pairs that carry it), added in at that offset. A class
+    never leaves the array, so an offset carries no row across an axis.
+    Returns the keys of the rows that are not all zero, in C order, which
+    is lexicographic, and those rows.
+    """
+    d, cells = u.shape[0], math.prod(dims.tolist())
+    strides = cells // np.cumprod(dims)
+    shift = rel @ strides  # flat cell offsets
+    A = np.zeros((cells, d), dtype=np.result_type(u, v0))
+    A[shift[0, 0], np.arange(d)] = v0
+    plans = {}
+    for offsets in shift[1:]:
+        plan = plans.get(offsets.tobytes())
+        if plan is None:
+            uniq, group = np.unique(offsets, return_inverse=True)
+            plan = plans[offsets.tobytes()] = [(o, np.where(group.reshape(d, d) == g, u.T, 0))
+                                               for g, o in enumerate(uniq.tolist())]
+        new = A @ plan[0][1]  # offset 0, the slice's least increment
+        for o, T in plan[1:]:
+            new[o:] += A[:cells - o] @ T
+        A = new
+    live = np.flatnonzero(A.any(axis=1))
+    return ((live[:, None] // strides) % dims + base) * step, A[live]
 
 
 def _class_sum(u, v0, steps: int, inc=None, tol=0.0):
@@ -250,33 +319,56 @@ def _class_sum(u, v0, steps: int, inc=None, tol=0.0):
     A class (key, end label l) holds the summed amplitude of every history
     that ends on l with that partial key. Slice 1 seeds class (inc[0, 0, l],
     l) with amplitude v0[l]; each later slice j sends (k, l) to
-    (k + inc[j, l, l'], l') with factor u[l', l]. After every slice,
-    classes with equal end labels and keys merge: float keys by gap
-    clustering within tol, one value or one per key column (snapped to one
-    value per bin after the last slice), integer keys only when exactly
-    equal. `inc` broadcasts to (steps, d, d, M); None means no key (M = 0).
-    PATH_CAP bounds the candidate classes of the next slice, which equal
-    the paths when nothing merges. Returns the distinct keys (K, M), in
-    lexicographic order, and the summed states (K, d) in the labeling
-    basis.
+    (k + inc[j, l, l'], l') with factor u[l', l]. `inc` broadcasts to
+    (steps, d, d, M); None means no key (M = 0). The classes take one of
+    two layouts, chosen from the increments alone (_lattice):
+
+    - dense (_dense_sum): when every key column is a lattice (integer
+      keys and keyless sums always are), one (K_1, ..., K_M, d) array
+      indexed by lattice position, keys exact multiples of the step.
+      PATH_CAP bounds its cells; integer keys over it raise CapExceeded,
+      float keys take the sorted merge.
+    - sorted merge: float keys off a lattice. After every slice, classes
+      with equal end labels and keys merge by gap clustering within tol,
+      one value or one per key column (snapped to one value per bin after
+      the last slice). PATH_CAP bounds the candidate classes of the next
+      slice, which equal the paths when nothing merges.
+
+    Returns the distinct keys (K, M), in lexicographic order, and the
+    summed states (K, d) in the labeling basis.
     """
     d = u.shape[0]
     inc = np.zeros((1, 1, 1, 0), dtype=np.int64) if inc is None else inc
     M = inc.shape[-1]
-    inc = np.broadcast_to(inc, (steps, d, d, M))
     tol = np.broadcast_to(np.asarray(tol, dtype=float), (M,))
-    keys = np.zeros((1, M), dtype=inc.dtype)
+    lattice = _lattice(inc, tol)
+    inc = np.broadcast_to(inc, (steps, d, d, M))
+    if lattice is not None:
+        step, n = lattice
+        n = np.broadcast_to(n, inc.shape)
+        lo = n.min(axis=(1, 2))
+        lo[0] = n[0, 0].min(axis=0)  # slice 1 leaves the one start class
+        dims = 1 + n[0, 0].max(axis=0) - lo[0] + (n[1:].max(axis=(1, 2)) - lo[1:]).sum(axis=0)
+        cells = math.prod(dims.tolist()) * d
+        if cells <= PATH_CAP:
+            return _dense_sum(u, v0, (n - lo[:, None, None]).astype(np.int64),
+                              lo.sum(axis=0), dims.astype(np.int64), step)
+        if inc.dtype.kind != "f":
+            raise CapExceeded(int(cells), PATH_CAP)
+    keys = np.zeros((1, M))
     ends = np.zeros(1, dtype=np.int64)
     amps = np.ones(1, dtype=np.result_type(u, v0))
     for j in range(steps):
         n = ends.size * d
         if n > PATH_CAP:
             raise CapExceeded(n, PATH_CAP)
-        step = u.T if j else v0[None, :]
+        factor = u.T if j else v0[None, :]
         keys = (keys[:, None, :] + inc[j][ends]).reshape(n, M)
-        amps = (amps[:, None] * step[ends]).reshape(n)
+        amps = (amps[:, None] * factor[ends]).reshape(n)
         ends = np.tile(np.arange(d), ends.size)
         keys, ends, amps = _merge(keys, ends, amps, tol, snap=j == steps - 1)
+        if not ends.size:
+            break
     # one row per key, in lexicographic order (cluster ids can chain values
     # closer than tol). Classes of different bins can snap to one key with
     # one end label: they are summed, and a class alone in its (key, end)

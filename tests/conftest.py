@@ -40,3 +40,17 @@ def beta_avg():
 def random_hermitian(rng, dim):
     M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (M + M.conj().T) / 2
+
+
+def count_calls(monkeypatch, fn, modules) -> list:
+    """Replace fn by a counting wrapper in every module that holds it;
+    returns the list that each call appends to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, fn.__name__, counted)
+    return calls

@@ -18,6 +18,7 @@ from pathmeter.errors import LengthMismatch
 from pathmeter.hilbert import exact_propagator
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+PARTICLE_SYSTEM = json.loads((CONFIGS / "particle_dwell.json").read_text())["system"]
 NAN, INF = float("nan"), float("inf")
 
 BASE_CONFIG = {
@@ -195,6 +196,11 @@ class TestRun:
         # nor a packet whose every sample is 0.0 on the lattice
         (("system", "packet", "center"), 1e300, "system"),
         (("system", "x_min"), 1e300, "system"),
+        # nor a lattice, or a distance from it to the packet centre, past
+        # float range
+        (("system", "dx"), 1e307, "system"),
+        (("system",), {**PARTICLE_SYSTEM, "x_min": -1e308,
+                       "packet": {**PARTICLE_SYSTEM["packet"], "center": 1e308}}, "system"),
     ], ids=lambda v: v[-1] if isinstance(v, tuple) else None)
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_particle_value_exits_2_and_names_it(self, tmp_path, capsys,
@@ -204,6 +210,19 @@ class TestRun:
         code, _ = run_main(tmp_path, cfg)
         assert code == cli.EXIT_CONFIG
         assert field in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_too_wide_kernel_is_not_called_narrow(self, tmp_path, capsys):
+        """A Gaussian 1e300 wide on configs/qubit_crosscheck.json puts its
+        mass past float range: the refusal says so rather than calling the
+        kernel too narrow."""
+        cfg = json.loads((CONFIGS / "qubit_crosscheck.json").read_text())
+        cfg["meters"][0]["kernel"]["width"] = 1e300
+        code, _ = run_main(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "meters[0].kernel.width" in err and "float range" in err
+        assert "narrow" not in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_coupling_exits_2_with_warnings_as_errors(self, tmp_path, capsys):

@@ -18,7 +18,7 @@ from pathmeter.errors import (
 from pathmeter.meters import CoarseGrainKernel, LambdaGrid
 from pathmeter.timegrid import PathFunctionalSpec, SwitchingFunction, TimeGrid
 
-from conftest import random_hermitian
+from conftest import count_calls, random_hermitian
 from test_pathsum import brute_force_substate
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -390,20 +390,6 @@ class TestFourierConsistency:
         calls = count_calls(monkeypatch, particle1d._split_step_batch, (particle1d,))
         cli.run(json.loads((CONFIGS / "particle_dwell.json").read_text()))
         assert len(calls) == 1
-
-
-def count_calls(monkeypatch, fn, modules) -> list:
-    """Replace fn by a counting wrapper in every module that holds it;
-    returns the list that each call appends to."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    for module in modules:
-        monkeypatch.setattr(module, fn.__name__, counted)
-    return calls
 
 
 def coupling_first(u, states, weights, factor, out=None):

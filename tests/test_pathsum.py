@@ -1,4 +1,5 @@
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from pathmeter import hilbert, pathsum, timegrid, transforms
 from pathmeter.errors import AllZeroSubstates, CapExceeded, DegenerateSpectrum, QuadratureBudgetExceeded
 from pathmeter.timegrid import PathFunctionalSpec, SwitchingFunction, TimeGrid
 
-from conftest import random_hermitian
+from conftest import count_calls, random_hermitian
 
 
 def brute_force_substate(H, decomp, grid, indices, psi0):
@@ -211,39 +212,45 @@ class TestBinnedAmplitudes:
 
     @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
     def test_bin_tolerance_follows_the_key_scale(self, qubit_h, psi_plus, scale):
-        """Observable diag(1, 2) * scale, N = 12: 13 bins at every scale,
+        """Observable diag(1, a) * scale, N = 12: 13 bins at every scale,
         for the raw labels and for a function of them, and the bins still
-        sum to the evolved state."""
-        dec = hilbert.spectral_decompose(np.diag([1.0, 2.0]) * scale)
+        sum to the evolved state; a = 2 sums on the key lattice, a = sqrt 2
+        by the sorted merge."""
         grid = TimeGrid(1.0, 12)
         spec = PathFunctionalSpec(grid, (SwitchingFunction.constant(1.0),))
         exact = hilbert.exact_propagator(qubit_h, 1.0) @ psi_plus
-        for bins in (pathsum.binned_measurement_amplitude(qubit_h, dec, grid, psi_plus, spec),
-                     pathsum.relabel_by_function(
-                         qubit_h, dec, grid, psi_plus, spec, lambda a: -3 * a)):
-            assert bins.n_bins == 13
-            assert np.linalg.norm(bins.total() - exact) <= 1e-12
+        for a in (2.0, 2**0.5):
+            dec = hilbert.spectral_decompose(np.diag([1.0, a]) * scale)
+            for bins in (pathsum.binned_measurement_amplitude(qubit_h, dec, grid, psi_plus, spec),
+                         pathsum.relabel_by_function(
+                             qubit_h, dec, grid, psi_plus, spec, lambda a: -3 * a)):
+                assert bins.n_bins == 13
+                assert np.linalg.norm(bins.total() - exact) <= 1e-12
 
     def test_each_meter_has_its_own_bin_tolerance(self, qubit_h, coord_decomp, psi_plus):
         """An impulse meter next to a constant meter of value 1e-9, N = 6:
         the small meter keeps its resolution, giving the 12 bins (and the
-        same states) of a constant meter of value 1."""
+        same states) of a constant meter of value 1, for observable
+        diag(1, 2) on the key lattice and diag(1, sqrt 2) by the sorted
+        merge."""
         grid = TimeGrid(1.0, 6)
-        bins = {v: pathsum.binned_measurement_amplitude(
-                    qubit_h, coord_decomp, grid, psi_plus, PathFunctionalSpec(
-                        grid, (SwitchingFunction.impulse(0.5), SwitchingFunction.constant(v))))
-                for v in (1.0, 1e-9)}
-        assert bins[1e-9].n_bins == bins[1.0].n_bins == 12
-        assert np.allclose(bins[1e-9].f_values[:, 1], 1e-9 * bins[1.0].f_values[:, 1],
-                           rtol=1e-12, atol=0.0)
-        assert np.abs(bins[1e-9].states - bins[1.0].states).max() <= 1e-15
+        for dec in (coord_decomp, hilbert.spectral_decompose(np.diag([1.0, 2**0.5]))):
+            bins = {v: pathsum.binned_measurement_amplitude(
+                        qubit_h, dec, grid, psi_plus, PathFunctionalSpec(
+                            grid, (SwitchingFunction.impulse(0.5), SwitchingFunction.constant(v))))
+                    for v in (1.0, 1e-9)}
+            assert bins[1e-9].n_bins == bins[1.0].n_bins == 12
+            assert np.allclose(bins[1e-9].f_values[:, 1], 1e-9 * bins[1.0].f_values[:, 1],
+                               rtol=1e-12, atol=0.0)
+            assert np.abs(bins[1e-9].states - bins[1.0].states).max() <= 1e-15
 
-    def test_classes_snapped_to_one_key_are_summed(self, qubit_h, psi_plus):
+    def test_classes_snapped_to_one_key_are_summed(self, qubit_h, psi_plus, monkeypatch):
         """A tolerance below the float spacing of the keys (observable
-        diag(1, 2) * 1e9, N = 12) leaves classes of different bins that snap
-        to one key with one end label; the final scatter adds them, so the
-        bins still sum to the evolved state."""
-        dec = hilbert.spectral_decompose(np.diag([1.0, 2.0]) * 1e9)
+        diag(1, sqrt 2) * 1e9, off any key lattice, N = 12) leaves classes of
+        different bins that snap to one key with one end label; the final
+        scatter adds them, so the bins still sum to the evolved state."""
+        dense = count_calls(monkeypatch, pathsum._dense_sum, (pathsum,))
+        dec = hilbert.spectral_decompose(np.diag([1.0, 2**0.5]) * 1e9)
         grid = TimeGrid(1.0, 12)
         u = pathsum._slice_transfer(qubit_h, dec, grid)
         inc = (grid.eps * dec.eigenvalues)[:, None]
@@ -251,6 +258,7 @@ class TestBinnedAmplitudes:
                                        inc, tol=1e-6 * grid.eps)
         exact = dec.to_eigenbasis(hilbert.exact_propagator(qubit_h, 1.0) @ psi_plus)
         assert np.linalg.norm(states.sum(axis=0) - exact) <= 1e-12
+        assert not dense
 
     def test_lone_class_keeps_its_bits(self):
         """A class alone in its (key, end) slot is placed, not added to
@@ -325,6 +333,108 @@ class TestRelabelByFunction:
         assert merged.n_bins == len(oracle)
         for row, state in zip(merged.f_values, merged.states):
             assert np.abs(state - oracle[round(row[0], 9)]).max() < 1e-12
+
+
+def dense_sum_cases():
+    """Commensurate key columns for _class_sum by name: each builder maps
+    (u, v0, N, eps) to _class_sum's arguments."""
+    jumps = lambda N, d: ((np.arange(N) > 0)[:, None, None, None]
+                          * (1 - np.eye(d, dtype=np.int64))[..., None])
+    start = lambda N, d: (np.arange(N) == 0)[:, None, None, None] * np.arange(d)[:, None]
+
+    def binned(weights, values):
+        def build(u, v0, N, eps):
+            inc = (np.atleast_2d(weights(N, eps)).T[:, None, :]
+                   * np.asarray(values, float)[:, None])[:, None]
+            return u, v0, N, inc, 1e-6 * np.abs(inc).max(axis=(0, 1, 2))
+        return build
+
+    return {
+        "negative_and_zero_weights": binned(
+            lambda N, eps: eps * np.array([1.0, -2.0, 0.0, 0.5, -1.0, 0.0]), [-1.0, 0.5, 2.0]),
+        "two_meters": binned(
+            lambda N, eps: np.array([np.arange(N) == 2, np.full(N, eps)], dtype=float),
+            [1.0, 2.0, 3.0]),
+        "jump_counts": lambda u, v0, N, eps: (u, v0, N, jumps(N, len(u)), 0.0),
+        "start_labels": lambda u, v0, N, eps: (
+            np.abs(u) ** 2, np.ones(len(u)), N, start(N, len(u)), 0.0),
+        "constant_map": binned(lambda N, eps: np.full(N, eps), [5.0, 5.0, 5.0]),
+        "degenerate_map": binned(lambda N, eps: np.full(N, eps), [5.0, 5.0, 7.0]),
+    }
+
+
+class TestDenseLayout:
+    @pytest.mark.parametrize("case", sorted(dense_sum_cases()))
+    def test_agrees_with_the_sorted_merge(self, case, monkeypatch):
+        """Random dim-3 system, N = 6: on commensurate keys the dense sum
+        gives the keys and states of the sorted merge within 1e-13."""
+        rng = np.random.default_rng(41)
+        grid = TimeGrid(1.0, 6)
+        u = hilbert.exact_propagator(random_hermitian(rng, 3), grid.eps)
+        v0 = u @ (rng.normal(size=3) + 1j * rng.normal(size=3))
+        args = dense_sum_cases()[case](u, v0, grid.steps, grid.eps)
+        dense = count_calls(monkeypatch, pathsum._dense_sum, (pathsum,))
+        keys, states = pathsum._class_sum(*args)
+        assert len(dense) == 1
+        monkeypatch.setattr(pathsum, "_lattice", lambda inc, tol: None)
+        merged_keys, merged_states = pathsum._class_sum(*args)
+        assert len(dense) == 1
+        assert keys.shape == merged_keys.shape and states.shape == merged_states.shape
+        assert np.abs(keys - merged_keys).max() <= 1e-13 * max(1.0, np.abs(keys).max())
+        assert np.abs(states - merged_states).max() <= 1e-13
+
+    def test_fixtures_choose_their_layout(self, monkeypatch):
+        """configs/qubit_crosscheck.json sums its bins on the key lattice;
+        configs/generic_crosscheck.json, whose sampled weights are off any
+        lattice, by the sorted merge."""
+        from pathmeter import cli
+        configs = pathlib.Path(__file__).resolve().parent.parent / "configs"
+        dense = count_calls(monkeypatch, pathsum._dense_sum, (pathsum,))
+        merges = count_calls(monkeypatch, pathsum._merge, (pathsum,))
+        cli.run(cli.load_config(str(configs / "qubit_crosscheck.json")))
+        assert (len(dense), len(merges)) == (1, 0)
+        cli.run(cli.load_config(str(configs / "generic_crosscheck.json")))
+        assert (len(dense), len(merges)) == (1, 6)
+
+    @pytest.mark.parametrize("tol_in_steps", [1.0, 1.5])
+    def test_step_within_the_tolerance_takes_the_sorted_merge(self, qubit_h, psi_plus,
+                                                              monkeypatch, tol_in_steps):
+        """Observable diag(3, 5), N = 8: the key increments 3w and 5w lie on
+        the lattice of step w, and the keys lie 2w apart. A tolerance of w or
+        1.5w leaves no lattice step above it, so the sorted merge runs, and
+        it finds the 9 bins of the dense sum."""
+        dec = hilbert.spectral_decompose(np.diag([3.0, 5.0]))
+        grid = TimeGrid(1.0, 8)
+        u = pathsum._slice_transfer(qubit_h, dec, grid)
+        v0 = u @ dec.to_eigenbasis(psi_plus)
+        inc = (grid.eps * dec.eigenvalues)[:, None]
+        dense = count_calls(monkeypatch, pathsum._dense_sum, (pathsum,))
+        keys, states = pathsum._class_sum(u, v0, grid.steps, inc, tol=1e-6 * grid.eps)
+        assert len(dense) == 1 and len(keys) == 9
+        merged_keys, merged_states = pathsum._class_sum(
+            u, v0, grid.steps, inc, tol=tol_in_steps * grid.eps)
+        assert len(dense) == 1
+        assert np.abs(merged_keys - keys).max() <= 1e-13
+        assert np.abs(merged_states - states).max() <= 1e-13
+
+    def test_dense_grid_over_the_cap(self, qubit_h, coord_decomp, psi_plus, monkeypatch):
+        """Two constant meters, N = 12: the dense grid holds 2 * 13^2 = 338
+        cells, the sorted merge at most 4 * 12 candidates. With PATH_CAP at
+        64, float keys take the sorted merge and find the same 13 bins;
+        jump counts, integer keys, raise CapExceeded."""
+        grid = TimeGrid(1.0, 12)
+        spec = PathFunctionalSpec(grid, (SwitchingFunction.constant(1.0),
+                                         SwitchingFunction.constant(0.5)))
+        dense = count_calls(monkeypatch, pathsum._dense_sum, (pathsum,))
+        full = pathsum.binned_measurement_amplitude(qubit_h, coord_decomp, grid, psi_plus, spec)
+        assert len(dense) == 1 and full.n_bins == 13
+        monkeypatch.setattr(pathsum, "PATH_CAP", 64)
+        capped = pathsum.binned_measurement_amplitude(qubit_h, coord_decomp, grid, psi_plus, spec)
+        assert len(dense) == 1 and capped.n_bins == 13
+        assert np.abs(capped.f_values - full.f_values).max() <= 1e-13
+        assert np.abs(capped.states - full.states).max() <= 1e-13
+        with pytest.raises(CapExceeded):
+            pathsum.group_paths_by_jumps(qubit_h, coord_decomp, TimeGrid(1.0, 40), psi_plus)
 
 
 def expm(M):
