@@ -305,8 +305,8 @@ def _dense_sum(u, v0, rel, base, dims, step):
             uniq, group = np.unique(offsets, return_inverse=True)
             plan = plans[offsets.tobytes()] = [(o, np.where(group.reshape(d, d) == g, u.T, 0))
                                                for g, o in enumerate(uniq.tolist())]
-        new = A @ plan[0][1]  # offset 0, the slice's least increment
-        for o, T in plan[1:]:
+        new = np.zeros_like(A)
+        for o, T in plan:
             new[o:] += A[:cells - o] @ T
         A = new
     live = np.flatnonzero(A.any(axis=1))

@@ -355,6 +355,9 @@ def dense_sum_cases():
         "two_meters": binned(
             lambda N, eps: np.array([np.arange(N) == 2, np.full(N, eps)], dtype=float),
             [1.0, 2.0, 3.0]),
+        # no end label holds both meters' least increment
+        "opposed_meters": binned(
+            lambda N, eps: np.array([np.full(N, eps), np.full(N, -eps)]), [1.0, 2.0, 3.0]),
         "jump_counts": lambda u, v0, N, eps: (u, v0, N, jumps(N, len(u)), 0.0),
         "start_labels": lambda u, v0, N, eps: (
             np.abs(u) ** 2, np.ones(len(u)), N, start(N, len(u)), 0.0),
